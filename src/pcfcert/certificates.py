@@ -10,7 +10,6 @@ class Verdict(str, Enum):
     VERIFIED = "Verified"
     REFUTED = "Refuted"
     INCONCLUSIVE = "Inconclusive"
-    UNSUPPORTED = "Unsupported"
 
 
 class HypothesisUnmet(Exception):

@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import jsonio
 from .certificates import HypothesisUnmet, Unsupported, Verdict
@@ -51,7 +52,6 @@ _VERDICT_EXIT = {
     Verdict.VERIFIED: EXIT_OK,
     Verdict.REFUTED: EXIT_REFUTED,
     Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-    Verdict.UNSUPPORTED: EXIT_UNSUPPORTED,
 }
 
 
@@ -85,7 +85,10 @@ def parse_scalar_literal(text: str, fieldK) -> NFElem:
         sign, coeff, _, power = mo.groups()
         if coeff is None and power is None and "c" not in s[pos:mo.end()]:
             raise UsageError(f"cannot parse element literal {text!r}")
-        q = Fraction(coeff) if coeff else Fraction(1)
+        try:
+            q = Fraction(coeff) if coeff else Fraction(1)
+        except ZeroDivisionError:
+            raise UsageError(f"zero denominator in element literal {text!r}") from None
         if sign == "-":
             q = -q
         term = fieldK.from_rational(q)
@@ -232,9 +235,16 @@ def _period_of(args, fieldK) -> int:
     return typ.n
 
 
+def _require_prime_d(d: int) -> None:
+    """x^d + c needs d prime: Z[zeta_d] and the prime above d assume it."""
+    if d < 2 or any(d % q == 0 for q in range(2, isqrt(d) + 1)):
+        raise UsageError(f"--d must be a prime >= 2, got {d}")
+
+
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
     cmd = args.command
+    _require_prime_d(args.d)
 
     if cmd == "gleason":
         g = gleason(args.d, args.n, args.budget)

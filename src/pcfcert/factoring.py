@@ -6,10 +6,19 @@ For a period-n parameter c0 and k = nq + r, the k-th iterate factors as
     * ((x - a_{n-r}) * prod_{i=1}^{r} F(r-i, n-i))^(d^q)
 
 where F(k, i) is the degree d^k(d-1) cofactor
-(f^{k+1} - a_{i+1}) / (f^k - a_i), computed by exact division (orbit indices
-cycle with a_n = 0).  Every identity used here is re-verified by exact
-arithmetic; a division failure is a falsified identity and propagates as
-NotDivisible rather than being silently absorbed.
+(f^{k+1} - a_{i+1}) / (f^k - a_i) (orbit indices cycle with a_n = 0).  It is
+built without division as the geometric sum
+
+    F(k, i) = sum_{j<d} (f^k)^j * a_i^(d-1-j),
+
+after checking the orbit relation a_{i+1} = a_i^d + c0: with it,
+f^{k+1} - a_{i+1} = (f^k)^d - a_i^d, which is exactly (f^k - a_i) F(k, i).
+A failed relation is a falsified identity and raises ShapeViolation.  Exact
+division (Poly.exact_div) stays only as the tests' oracle for this sum.
+
+Iterates are computed in packed form: f^k is a list of integer rows over
+Z[c]/(g), stored per field as one packed int, and each product on the way to
+f^(k+1) is one big-integer product (see polyring.kronecker_mul).
 
 Irreducibility and stability certificates replay Eisenstein arguments at a
 prime above d.  The cyclotomic extension L = K(zeta) is never constructed:
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
-from .finitefield import fq_factor
+from .finitefield import factor
 from .numfield import (
     NFElem,
     NotIntegral,
@@ -36,7 +45,7 @@ from .numfield import (
     valuation,
 )
 from .orbits import DEFAULT_DEGREE_BUDGET, ExactType, orbit_value
-from .polyring import BudgetExceeded, Poly, gcd_poly
+from .polyring import BudgetExceeded, PackedRows, Poly, gcd_poly
 
 
 class ShapeViolation(Exception):
@@ -50,20 +59,28 @@ class NotUnit(Exception):
 def iterate(
     fieldK: NumberField, d: int, k: int, budget: int = DEFAULT_DEGREE_BUDGET
 ) -> Poly:
-    """f^k for f = x^d + c0 as a polynomial over K, cached per field."""
+    """f^k for f = x^d + c0 as a polynomial over K, cached per field.
+
+    c0 is an algebraic integer (g is monic), so every coefficient of f^k is
+    a row of integers in the basis 1, c, ..., c^(m-1).  The cache holds f^k
+    packed into one int, m slots per coefficient; f^(k+1) is the d-th power
+    of the unpacked rows over Z[c]/(g), plus c0.
+    """
     if k < 0:
         raise ValueError("iterate index must be >= 0")
     if d**k > budget:
         raise BudgetExceeded(f"deg f^{k} = {d}^{k} exceeds budget {budget}")
-    caches = getattr(fieldK, "_iterate_cache", None)
-    if caches is None:
-        caches = {}
-        fieldK._iterate_cache = caches
-    cache = caches.setdefault(d, [Poly.x(fieldK)])
-    c0_poly = Poly.constant(fieldK, fieldK.gen())
+    m = fieldK.degree
+    cache = fieldK._iterates.setdefault(d, [])
+    if not cache:
+        cache.append(PackedRows.pack([[], [1]], m))  # f^0 = x
+    c0 = fieldK.gen().num.coeffs
     while len(cache) <= k:
-        cache.append(cache[-1] ** d + c0_poly)
-    return cache[k]
+        rows = fieldK.pow_rows(cache[-1].rows(), d)
+        for j, c in enumerate(c0):
+            rows[0][j] += c
+        cache.append(PackedRows.pack(rows, m))
+    return fieldK.poly_from_rows(cache[k].rows())
 
 
 @dataclass(frozen=True)
@@ -154,16 +171,25 @@ def f_factor(
     i: int,
     budget: int = DEFAULT_DEGREE_BUDGET,
 ) -> Poly:
-    """F(k, i) = (f^{k+1} - a_{i+1}) / (f^k - a_i), monic of degree d^k(d-1)."""
+    """F(k, i) = (f^{k+1} - a_{i+1}) / (f^k - a_i), monic of degree d^k(d-1).
+
+    Built as sum_{j<d} (f^k)^j * a_i^(d-1-j), by Horner's rule in f^k, once
+    a_{i+1} = a_i^d + c0 is checked (ShapeViolation otherwise).
+    """
     if not (n >= 2 and k >= 0 and 1 <= i <= n - 1):
         raise ValueError("f_factor requires n >= 2, k >= 0, 1 <= i <= n-1")
-    numer = iterate(fieldK, d, k + 1, budget) - Poly.constant(
-        fieldK, periodic_orbit_value(fieldK, d, n, i + 1)
-    )
-    denom = iterate(fieldK, d, k, budget) - Poly.constant(
-        fieldK, periodic_orbit_value(fieldK, d, n, i)
-    )
-    quotient = numer.exact_div(denom)
+    if d ** (k + 1) > budget:
+        raise BudgetExceeded(f"deg f^{k + 1} = {d}^{k + 1} exceeds budget {budget}")
+    a_i = periodic_orbit_value(fieldK, d, n, i)
+    if periodic_orbit_value(fieldK, d, n, i + 1) != a_i**d + fieldK.gen():
+        raise ShapeViolation(f"a_{i + 1} != a_{i}^{d} + c0: c0 is not of period {n}")
+    f_k = iterate(fieldK, d, k, budget)
+    quotient = f_k
+    power = a_i
+    for _ in range(d - 2):
+        quotient = (quotient + Poly.constant(fieldK, power)) * f_k
+        power = power * a_i
+    quotient = quotient + Poly.constant(fieldK, power)
     expected_degree = d**k * (d - 1)
     if quotient.degree != expected_degree or not quotient.is_monic():
         raise ShapeViolation(
@@ -344,7 +370,7 @@ def eisenstein_certificate(h: Poly, P: PrimeAboveD) -> Certificate:
     if not h.is_monic():
         raise ValueError("Eisenstein certificate requires a monic polynomial")
     for cf in h.coeffs[:-1]:
-        if not fieldK_integral(cf):
+        if not cf.is_integral:
             raise NotIntegral("Eisenstein certificate requires integral coefficients")
     const_val = valuation(h.constant_term, P)
     if const_val.infinite or not const_val.exact or const_val.value != 1:
@@ -371,10 +397,6 @@ def eisenstein_certificate(h: Poly, P: PrimeAboveD) -> Certificate:
         min_middle_valuation=str(min_middle) if min_middle else "oo",
     )
     return cert
-
-
-def fieldK_integral(x: NFElem) -> bool:
-    return x.is_integral
 
 
 def _alpha_valuation_ok(v: Valuation, typ: ExactType) -> bool:
@@ -458,6 +480,10 @@ def f_irreducibility_certificate(
     Fallback: irreducibility of the reduction of F(k, i) in a residue field
     of K, flagged as the mod-prime route.
     """
+    if not (n >= 2 and k >= 0 and 1 <= i <= n - 1):
+        raise ValueError(
+            "f_irreducibility_certificate requires n >= 2, k >= 0, 1 <= i <= n-1"
+        )
     cert = Certificate(
         claim=f"irreducible(F({k},{i}), d={d}, n={n})",
         verdict=Verdict.INCONCLUSIVE,
@@ -521,7 +547,7 @@ def f_irreducibility_certificate(
                 continue
             if image.degree != poly.degree:
                 continue
-            fac = fq_factor(image)
+            fac = factor(image)
             if len(fac) == 1 and fac[0][1] == 1:
                 cert.verdict = Verdict.VERIFIED
                 cert.witness(

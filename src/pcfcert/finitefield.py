@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .polyring import NotDivisible, Poly, Ring, ZZ, gcd_poly
+from .polyring import Poly, Ring, ZZ, gcd_poly, reduce_monic
 
 DEFAULT_SEED = 1
 
@@ -91,12 +91,6 @@ class ExtField(Ring):
         self.zero = (0,) * self.degree
         self.one = tuple([1 % p] + [0] * (self.degree - 1))
 
-    def _reduce(self, coeffs: list[int]) -> tuple:
-        poly = Poly.make(self.base, [c % self.p for c in coeffs])
-        _, rem = poly.divmod(self.modpoly)
-        out = list(rem.coeffs) + [0] * (self.degree - len(rem.coeffs))
-        return tuple(out)
-
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
@@ -109,7 +103,7 @@ class ExtField(Ring):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return self._reduce(out)
+        return tuple(reduce_monic(out, self.modpoly.coeffs, self.p))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -340,18 +334,6 @@ def factor(g: Poly, seed: int = DEFAULT_SEED) -> list[tuple[Poly, int]]:
     return sorted(out, key=lambda it: (_poly_key(it[0]), it[1]))
 
 
-def fp_factor(g: Poly, seed: int = DEFAULT_SEED) -> list[tuple[Poly, int]]:
-    """Factor over F_p; g must be a Poly over a PrimeField."""
-    if not isinstance(g.ring, PrimeField):
-        raise TypeError("fp_factor expects coefficients in a prime field")
-    return factor(g, seed)
-
-
-def fq_factor(g: Poly, seed: int = DEFAULT_SEED) -> list[tuple[Poly, int]]:
-    """Factor over F_q; g may be over a PrimeField or an ExtField."""
-    return factor(g, seed)
-
-
 # -- Hensel lifting ---------------------------------------------------------
 
 
@@ -395,7 +377,8 @@ def _lift_pair(g: Poly, u: Poly, v: Poly, p: int, T: int) -> tuple[Poly, Poly]:
         u = _reduce_mod(u + Poly.make(ZZ, [c * pk for c in du.coeffs]), pk * p)
         v = _reduce_mod(v + Poly.make(ZZ, [c * pk for c in dv.coeffs]), pk * p)
         pk *= p
-        assert all(c % pk == 0 for c in (g - u * v).coeffs), "Hensel step failed"
+        if any(c % pk for c in (g - u * v).coeffs):
+            raise AssertionError("Hensel step failed")
     return u, v
 
 

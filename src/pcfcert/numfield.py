@@ -2,7 +2,10 @@
 
 A NumberField doubles as a coefficient-ring adapter for Poly, so polynomials
 over K (iterates of x^d + c, factors of the closed-form factorization) reuse
-the generic dense-polynomial machinery.
+the generic dense-polynomial machinery.  Their products take the Kronecker
+path: the coefficients become integer rows over a common denominator, one
+big-integer product multiplies all rows at once, and each row is reduced
+modulo g.
 
 Valuations at a prime above p come from one of two backends:
 
@@ -22,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
 
 from .certificates import Certificate, Unsupported, Verdict
 from .finitefield import (
     ExtField,
     PrimeField,
-    fp_factor,
+    factor,
     hensel_lift,
     is_irreducible,
 )
@@ -40,6 +43,8 @@ from .polyring import (
     content,
     discriminant,
     gcd_int_poly,
+    kronecker_mul,
+    reduce_monic,
     resultant,
     xgcd_poly,
 )
@@ -51,10 +56,6 @@ class Reducible(Exception):
 
 class NotIntegral(Exception):
     """Operation requires an algebraic integer (denominator 1)."""
-
-
-class PrecisionExceeded(Exception):
-    """Valuation query undecidable at the backend's precision."""
 
 
 DEFAULT_PRECISION = 3
@@ -89,13 +90,6 @@ class Valuation:
     def infinity() -> "Valuation":
         return Valuation(infinite=True)
 
-    def require_exact(self) -> int:
-        if self.infinite:
-            raise PrecisionExceeded("valuation of zero is infinite")
-        if not self.exact:
-            raise PrecisionExceeded(f"valuation only known to be >= {self.value}")
-        return self.value
-
     def __str__(self):
         if self.infinite:
             return "oo"
@@ -112,10 +106,11 @@ class NFElem:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             num, den = -num, -den
-        num = num.divmod(field.g)[1]
+        if num.degree >= field.degree:
+            num = Poly.make(ZZ, reduce_monic(list(num.coeffs), field.g.coeffs))
         if num.is_zero:
             den = 1
-        else:
+        elif den != 1:
             shared = gcd(content(num), den)
             if shared > 1:
                 num = Poly(ZZ, tuple(x // shared for x in num.coeffs))
@@ -230,6 +225,10 @@ class NumberField(Ring):
         self.zero = NFElem(self, Poly.zero(ZZ))
         self.one = NFElem(self, Poly.one(ZZ))
         self._primes_cache: dict[tuple[int, int], tuple] = {}
+        # d -> [f^0, f^1, ...] for f = x^d + c0, each f^k packed into one int
+        # (see factoring.iterate); ints, not NFElems, so a field kept alive
+        # until the cyclic collector runs holds little memory
+        self._iterates: dict[int, list] = {}
 
     # Ring adapter interface
     def add(self, a: NFElem, b: NFElem) -> NFElem:
@@ -240,6 +239,44 @@ class NumberField(Ring):
 
     def mul(self, a: NFElem, b: NFElem) -> NFElem:
         return a * b
+
+    def mul_coeffs(self, a: tuple, b: tuple) -> list:
+        """Product coefficients by Kronecker substitution, one big-int product."""
+        rows_a, den_a = self._rows(a)
+        rows_b, den_b = (rows_a, den_a) if b is a else self._rows(b)
+        den = den_a * den_b
+        return [
+            NFElem(self, Poly.make(ZZ, row), den)
+            for row in self.mul_rows(rows_a, rows_b)
+        ]
+
+    def mul_rows(self, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+        """Product of polynomials over Z[c]/(g) given as integer rows."""
+        g = self.g.coeffs
+        return [reduce_monic(row, g) for row in kronecker_mul(a, b)]
+
+    def pow_rows(self, a: list[list[int]], e: int) -> list[list[int]]:
+        """``a`` to the power e >= 1 over Z[c]/(g), by reduced squarings.
+
+        Reducing mod g after every product keeps each big-int product at
+        rows of length 2m - 1, where one e-th power would need e(m - 1) + 1.
+        """
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul_rows(result, result)
+            if bit == "1":
+                result = self.mul_rows(result, a)
+        return result
+
+    @staticmethod
+    def _rows(coeffs: tuple) -> tuple[list[list[int]], int]:
+        """Numerators of ``coeffs`` over their least common denominator."""
+        den = lcm(*(c.den for c in coeffs))
+        return [[x * (den // c.den) for x in c.num.coeffs] for c in coeffs], den
+
+    def poly_from_rows(self, rows) -> Poly:
+        """The polynomial over K with integral coefficients given as rows."""
+        return Poly.make(self, [NFElem(self, Poly.make(ZZ, row)) for row in rows])
 
     def div(self, a: NFElem, b: NFElem) -> NFElem:
         return a / b
@@ -331,7 +368,7 @@ def _tiny_factor_search(g: Poly, p: int) -> Poly | None:
     while p**T <= 2 * bound:
         T += 1
     modulus = p**T
-    fac = fp_factor(Poly.from_ints(PrimeField(p), list(g.coeffs)))
+    fac = factor(Poly.from_ints(PrimeField(p), list(g.coeffs)))
     if any(m > 1 for _, m in fac):
         return None  # p was supposed to be a good prime
     lifted = hensel_lift(g, fac, p, T).factors
@@ -390,7 +427,7 @@ def irreducibility_certificate(g: Poly, max_primes: int = 12) -> Certificate:
             break
         if disc % p == 0:
             continue
-        fac = fp_factor(Poly.from_ints(PrimeField(p), list(g.coeffs)))
+        fac = factor(Poly.from_ints(PrimeField(p), list(g.coeffs)))
         degrees = [f.degree for f, _ in fac]
         if len(degrees) == 1:
             cert.verdict = Verdict.VERIFIED
@@ -496,7 +533,7 @@ def primes_above(field: NumberField, p: int, T: int = DEFAULT_PRECISION) -> list
     g = field.g
     disc = field.disc_g
     if disc % p != 0:
-        fac = fp_factor(Poly.from_ints(PrimeField(p), list(g.coeffs)))
+        fac = factor(Poly.from_ints(PrimeField(p), list(g.coeffs)))
         lifted = hensel_lift(g, fac, p, T)
         primes = [
             PrimeAboveD(
@@ -560,8 +597,7 @@ def valuation(x: NFElem, P: PrimeAboveD) -> Valuation:
     # backend A
     modulus = p**P.T
     shift = _int_val(x.den, p)
-    reduced = x.num.divmod(P.lifted_factor)[1]
-    coeffs = [c % modulus for c in reduced.coeffs]
+    coeffs = reduce_monic(list(x.num.coeffs), P.lifted_factor.coeffs, modulus)
     if all(c == 0 for c in coeffs):
         return Valuation.at_least(P.T - shift)
     v = min(_int_val(c, p) for c in coeffs if c != 0)
@@ -578,22 +614,22 @@ def residue_field(P: PrimeAboveD):
 
 def reduce_mod_prime(x: NFElem, P: PrimeAboveD):
     """Image of x in the residue field of P (x must be P-integral)."""
+    return _reduce_into(residue_field(P), x, P)
+
+
+def _reduce_into(F, x: NFElem, P: PrimeAboveD):
     if x.den % P.p == 0:
         raise ValueError("element has a pole at P")
-    F = residue_field(P)
     den_inv = pow(x.den, -1, P.p)
     if P.backend == "B":
         return F.from_int(x.num(P.gen_shift) * den_inv)
-    reduced = x.num.divmod(P.lifted_factor)[1]
+    reduced = reduce_monic(list(x.num.coeffs), P.lifted_factor.coeffs, P.p)
     if isinstance(F, PrimeField):
-        return F.from_int(reduced.coeff(0) * den_inv)
-    img = Poly.from_ints(F.base, list(reduced.coeffs))
-    img = img.divmod(F.modpoly)[1]
-    coeffs = list(img.coeffs) + [0] * (F.degree - len(img.coeffs))
-    return tuple(c * den_inv % P.p for c in coeffs)
+        return F.from_int(reduced[0] * den_inv)
+    return tuple(c * den_inv % P.p for c in reduced)
 
 
 def reduce_poly_mod_prime(poly: Poly, P: PrimeAboveD) -> Poly:
     """Coefficient-wise reduction of a polynomial over K into the residue field."""
-    F = residue_field(P)
-    return poly.map_coeffs(F, lambda c: reduce_mod_prime(c, P))
+    F = residue_field(P)  # built once: ExtField re-checks irreducibility
+    return poly.map_coeffs(F, lambda c: _reduce_into(F, c, P))

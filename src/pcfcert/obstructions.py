@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
 from .factoring import iterate, stability_certificate
-from .finitefield import fq_factor
+from .finitefield import factor
 from .numfield import (
     NFElem,
     NumberField,
@@ -346,7 +346,7 @@ def _mod_prime_irreducible(
                 continue
             if image.degree != poly.degree:
                 continue
-            fac = fq_factor(image)
+            fac = factor(image)
             if len(fac) == 1 and fac[0][1] == 1:
                 cert.witness(
                     "mod-prime-irreducible", label=label, p=p, prime_index=idx

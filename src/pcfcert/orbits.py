@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .polyring import BudgetExceeded, Poly, Ring, ZZ, mobius, resultant
+from .polyring import BudgetExceeded, Poly, Ring, ZZ, mobius, reduce_monic, resultant
 from .numfield import NFElem, NumberField
 
 DEFAULT_DEGREE_BUDGET = 4096
@@ -32,6 +32,7 @@ class CyclotomicIntegers(Ring):
         self.width = d - 1
         self.zero = (0,) * self.width
         self.one = tuple([1] + [0] * (self.width - 1))
+        self._phi = (1,) * d  # 1 + z + ... + z^(d-1)
 
     def zeta(self) -> tuple:
         if self.d == 2:
@@ -50,14 +51,7 @@ class CyclotomicIntegers(Ring):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        # reduce z^k for k >= d-1 using z^(d-1) = -(1 + z + ... + z^(d-2))
-        for k in range(len(out) - 1, self.width - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = 0
-                for j in range(self.width):
-                    out[k - self.width + j] -= c
-        return tuple(out[: self.width])
+        return tuple(reduce_monic(out, self._phi))
 
     def div(self, a, b):
         raise NotImplementedError("no coefficient division in Z[zeta]")
@@ -286,18 +280,24 @@ def exact_type(fieldK: NumberField, d: int, bound: int = 64) -> ExactType:
 
 
 def _verify_periodic(orbit, n):
-    assert orbit[n - 1].is_zero
+    if not orbit[n - 1].is_zero:
+        raise AssertionError(f"a_{n} is not zero")
     for k in range(n - 1):
-        assert not orbit[k].is_zero, "period not minimal"
+        if orbit[k].is_zero:
+            raise AssertionError("period not minimal")
 
 
 def _verify_preperiodic(orbit, m, n):
-    assert m >= 2 and n >= 1, f"detected type ({m},{n}) is not strictly preperiodic"
-    assert orbit[m + n - 1] == orbit[m - 1]
-    assert orbit[m + n - 2] != orbit[m - 2], "preperiod not minimal"
+    if m < 2 or n < 1:
+        raise AssertionError(f"detected type ({m},{n}) is not strictly preperiodic")
+    if orbit[m + n - 1] != orbit[m - 1]:
+        raise AssertionError(f"a_{m + n} is not a_{m}")
+    if orbit[m + n - 2] == orbit[m - 2]:
+        raise AssertionError("preperiod not minimal")
     for i in range(m + n - 2):
         for j in range(i + 1, m + n - 1):
-            assert orbit[i] != orbit[j], "earlier repetition missed"
+            if orbit[i] == orbit[j]:
+                raise AssertionError("earlier repetition missed")
 
 
 def orbit_value(fieldK: NumberField, d: int, i: int) -> NFElem:

@@ -5,6 +5,15 @@ zeros (the zero polynomial is the empty tuple).  The coefficient ring is an
 explicit adapter object passed around with the polynomial, so the same code
 serves Z, Q, finite fields, cyclotomic integers and number fields.
 
+Products go through the ring's ``mul_coeffs``.  Its default is the generic
+schoolbook/Karatsuba ``_mul`` on ring elements.  A ring whose elements are
+integer rows (a number field Q[c]/(g) over a common denominator) multiplies
+by Kronecker substitution instead: ``kronecker_mul`` packs every row into one
+Python int, does one big-integer product and unpacks the signed slots from
+the product's bytes, and ``reduce_monic`` reduces each row modulo g.
+``reduce_monic`` is the one quotient-ring reduction for Z[c]/(g),
+Z[zeta]/(Phi_d) and F_p[t]/(h).
+
 All operations are pure; polynomials are immutable after construction.
 """
 
@@ -12,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from itertools import chain
+from typing import Any, NamedTuple, Sequence
 
 KARATSUBA_THRESHOLD = 32
 
@@ -67,6 +77,10 @@ class Ring:
 
     def mul(self, a, b):
         raise NotImplementedError
+
+    def mul_coeffs(self, a: tuple, b: tuple) -> list:
+        """Coefficients of the product of two nonzero coefficient tuples."""
+        return _mul(self, a, b)
 
     def div(self, a, b):
         raise NotImplementedError
@@ -214,7 +228,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(R, ())
-        return Poly.make(R, _mul(R, a, b))
+        return Poly.make(R, R.mul_coeffs(a, b))
 
     def scale(self, k) -> "Poly":
         R = self.ring
@@ -382,6 +396,102 @@ def _sub_lists(R: Ring, a, b):
     for i, c in enumerate(b):
         out[i] = R.sub(out[i], c)
     return out
+
+
+def reduce_monic(coeffs: list, g: Sequence[int], p: int = 0) -> list:
+    """``coeffs`` modulo the monic integer polynomial ``g``, both ascending.
+
+    Returns exactly deg g entries, reduced into [0, p) when ``p`` is given.
+    ``coeffs`` is overwritten.
+    """
+    m = len(g) - 1
+    tail = [(j, -c) for j, c in enumerate(g[:m]) if c]
+    for k in range(len(coeffs) - 1, m - 1, -1):
+        c = coeffs[k]
+        if c:
+            base = k - m
+            for j, gj in tail:
+                coeffs[base + j] += c * gj
+    out = coeffs[:m]
+    out += [0] * (m - len(out))
+    return [c % p for c in out] if p else out
+
+
+# -- Kronecker substitution ----------------------------------------------------
+
+
+def _bias(slots: int, nbytes: int) -> int:
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
+
+
+def _max_abs(rows) -> int:
+    return max(map(abs, chain.from_iterable(rows)), default=0)
+
+
+class PackedRows(NamedTuple):
+    """Rows of signed integers packed into one int.
+
+    A row is a list of integers (a polynomial in a second variable).  Row r
+    fills slots r*stride .. r*stride + stride - 1, ``nbytes`` bytes each, so
+    ``value`` = sum_i v_i 256^(nbytes*i).  Adding the bias (2^(8*nbytes-1) in
+    every slot) makes every slot nonnegative, and one XOR with the bias then
+    leaves each slot in two's complement; a slot holds |v| < 2^(8*nbytes-1).
+    """
+
+    value: int
+    count: int
+    stride: int
+    nbytes: int
+
+    @staticmethod
+    def pack(
+        rows: Sequence[Sequence[int]], stride: int, bound: int | None = None
+    ) -> "PackedRows":
+        """Pack rows of at most ``stride`` entries, with slots wide enough for
+        absolute values up to ``bound`` (default: the largest entry)."""
+        if bound is None:
+            bound = _max_abs(rows)
+        nbytes = bound.bit_length() // 8 + 1
+        zeros = [0] * stride
+        flat = chain.from_iterable(
+            row if len(row) == stride else [*row, *zeros[len(row):]] for row in rows
+        )
+        buf = b"".join([v.to_bytes(nbytes, "little", signed=True) for v in flat])
+        bias = _bias(len(rows) * stride, nbytes)
+        value = (int.from_bytes(buf, "little") ^ bias) - bias
+        return PackedRows(value, len(rows), stride, nbytes)
+
+    def rows(self) -> list[list[int]]:
+        """Every row, ``stride`` entries each."""
+        nbytes, stride = self.nbytes, self.stride
+        slots = self.count * stride
+        bias = _bias(slots, nbytes)
+        buf = ((self.value + bias) ^ bias).to_bytes(slots * nbytes, "little")
+        flat = [
+            int.from_bytes(buf[i : i + nbytes], "little", signed=True)
+            for i in range(0, len(buf), nbytes)
+        ]
+        return [flat[i : i + stride] for i in range(0, len(flat), stride)]
+
+
+def kronecker_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Product of two polynomials whose coefficients are integer rows.
+
+    Row j of the result is sum_i a[i] * b[j - i], each a product of
+    polynomials in the second variable, of length wa + wb - 1.  One big-int
+    product (a square when ``a is b``).
+    """
+    wa = max(1, max(map(len, a)))
+    wb = max(1, max(map(len, b)))
+    stride = wa + wb - 1
+    # a product slot sums at most min(len) * min(width) products of two
+    # entries; the slots must also hold the entries themselves
+    ma, mb = _max_abs(a), _max_abs(b)
+    bound = max(ma * mb * min(len(a), len(b)) * min(wa, wb), ma, mb)
+    pa = PackedRows.pack(a, stride, bound)
+    pb = pa if b is a else PackedRows.pack(b, stride, bound)
+    product = pa.value * pb.value  # CPython squares when both are one object
+    return PackedRows(product, len(a) + len(b) - 1, stride, pa.nbytes).rows()
 
 
 def gcd_poly(p: Poly, q: Poly) -> Poly:

@@ -145,6 +145,21 @@ class TestErrors:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("misiurewicz", "--d", "4", "--m", "2", "--n", "1"),
+            ("gleason", "--d", "1", "--n", "2"),
+            ("gleason", "--d", "0", "--n", "2"),
+            ("f-irred-cert", "--d", "2", "--gleason-n", "2", "--k", "1", "--i", "5"),
+            ("stability-cert", "--d", "2", "--gleason-n", "2", "--alpha", "1/0",
+             "--kmax", "3"),
+        ],
+    )
+    def test_invalid_input_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("error: ")
+
     def test_reducible_field_exit_3(self, capsys, tmp_path):
         path = tmp_path / "field.json"
         path.write_text(json.dumps({"g": {"var": "c", "coeffs": ["-2", "1", "1"]}}))

@@ -18,6 +18,7 @@ from pcfcert.factoring import (
 )
 from pcfcert.numfield import nf_new, primes_above
 from pcfcert.orbits import exact_type, gleason, misiurewicz, orbit_value
+from pcfcert.factoring import periodic_orbit_value
 from pcfcert.polyring import Poly, ZZ
 
 
@@ -41,6 +42,27 @@ class TestIterate:
     def test_constant_terms_walk_orbit(self):
         for k in range(1, 6):
             assert iterate(K22, 2, k).constant_term == orbit_value(K22, 2, k)
+
+    @pytest.mark.parametrize(
+        "d, g, kmax",
+        [
+            # the seven parameter fields of the deep-iterate benchmark
+            (2, misiurewicz(2, 2, 1)[1], 5),
+            (2, misiurewicz(2, 2, 2)[1], 5),
+            (2, misiurewicz(2, 3, 1)[1], 5),
+            (2, gleason(2, 2), 5),
+            (2, gleason(2, 3), 5),
+            (3, gleason(3, 2), 3),
+            (3, misiurewicz(3, 2, 1)[1], 3),
+        ],
+    )
+    def test_packed_iterate_matches_power_tower(self, d, g, kmax):
+        K = nf_new(g)
+        c0 = Poly.constant(K, K.gen())
+        tower = Poly.x(K)
+        for k in range(1, kmax + 1):
+            tower = tower**d + c0
+            assert iterate(K, d, k) == tower
 
 
 class TestStructuralForm:
@@ -92,6 +114,26 @@ class TestFFactor:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             f_factor(K22, 2, 2, 1, 2)  # i must be < n
+
+    @pytest.mark.parametrize(
+        "d, n, kmax", [(2, 3, 7), (3, 2, 4), (5, 2, 2)]
+    )
+    def test_geometric_sum_matches_exact_division(self, d, n, kmax):
+        K = nf_new(gleason(d, n))
+        for k in range(kmax):
+            for i in range(1, n):
+                numer = iterate(K, d, k + 1) - Poly.constant(
+                    K, periodic_orbit_value(K, d, n, i + 1)
+                )
+                denom = iterate(K, d, k) - Poly.constant(
+                    K, periodic_orbit_value(K, d, n, i)
+                )
+                assert f_factor(K, d, n, k, i) == numer.exact_div(denom)
+
+    def test_wrong_period_is_shape_violation(self):
+        # K22 has period 2, so a_3 = a_1 != 0 breaks the period-3 relation
+        with pytest.raises(ShapeViolation):
+            f_factor(K22, 2, 3, 1, 2)
 
 
 class TestFactorization:
@@ -170,6 +212,11 @@ class TestIrreducibilityCerts:
             certs = factor_product_certificates(product)
             for label, cert in certs.items():
                 assert cert.verdict is Verdict.VERIFIED, (d, n, k, label)
+
+    @pytest.mark.parametrize("k, i", [(1, 5), (1, 0), (1, 2), (-1, 1)])
+    def test_out_of_range_factor_rejected(self, k, i):
+        with pytest.raises(ValueError):
+            f_irreducibility_certificate(K22, 2, 2, k, i)
 
     def test_no_fallback_on_gleason_fields(self):
         cert = f_irreducibility_certificate(K23, 2, 3, 3, 2)

@@ -10,8 +10,6 @@ from pcfcert.finitefield import (
     NotSquarefree,
     PrimeField,
     factor,
-    fp_factor,
-    fq_factor,
     hensel_lift,
     is_irreducible,
     squarefree_decomposition,
@@ -95,7 +93,7 @@ class TestFactor:
         x = Poly.x(F9)
         t = Poly.constant(F9, (0, 1))
         f = (x - t) * (x + t) * (x - Poly.one(F9))
-        fac = fq_factor(f)
+        fac = factor(f)
         assert sorted(g.degree for g, _ in fac) == [1, 1, 1]
         prod = Poly.one(F9)
         for g, m in fac:
@@ -106,7 +104,7 @@ class TestFactor:
     @settings(max_examples=40)
     def test_factor_recombines(self, coeffs):
         f = Poly.from_ints(PrimeField(5), coeffs + [1])
-        fac = fp_factor(f)
+        fac = factor(f)
         prod = Poly.one(f.ring)
         for g, m in fac:
             prod = prod * g**m
@@ -116,7 +114,7 @@ class TestFactor:
 class TestHensel:
     def test_lift_squares_with_product(self):
         g = Poly.make(ZZ, [-1, 0, 0, 0, 1])  # x^4 - 1
-        fac = fp_factor(fp(3, [-1, 0, 0, 0, 1]))
+        fac = factor(fp(3, [-1, 0, 0, 0, 1]))
         lifted = hensel_lift(g, fac, 3, 4)
         prod = Poly.one(ZZ)
         for G in lifted.factors:
@@ -126,6 +124,6 @@ class TestHensel:
 
     def test_rejects_repeated_factors(self):
         g = Poly.make(ZZ, [1, 2, 1])
-        fac = fp_factor(fp(3, [1, 2, 1]))  # (x+1)^2
+        fac = factor(fp(3, [1, 2, 1]))  # (x+1)^2
         with pytest.raises(NotSquarefree):
             hensel_lift(g, fac, 3, 3)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcfcert.certificates import Unsupported, Verdict
 from pcfcert.numfield import (
@@ -19,7 +21,7 @@ from pcfcert.numfield import (
     reduce_mod_prime,
     valuation,
 )
-from pcfcert.polyring import Poly, ZZ
+from pcfcert.polyring import Poly, ZZ, _mul
 
 
 def field(coeffs):
@@ -48,6 +50,51 @@ class TestElements:
         K = field([1, 0, 1])
         c = K.gen()
         assert c**-2 == (c * c).inverse()
+
+
+# fields of degree 1 to 4, including two of the benchmark's parameter fields
+MUL_FIELDS = [field(g) for g in ([2, 1], [1, 0, 1], [1, 1, 2, 1], [3, 0, 3, 0, 1])]
+
+
+@st.composite
+def elem_tuples(draw, K):
+    """Coefficient tuples over K: negative, non-integral and zero entries."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    out = []
+    for _ in range(size):
+        num = draw(st.lists(st.integers(-(10**12), 10**12), max_size=K.degree + 2))
+        den = draw(st.integers(min_value=1, max_value=12))
+        out.append(K.element(num, den))
+    return tuple(out)
+
+
+class TestKroneckerMul:
+    """NumberField.mul_coeffs against the generic _mul as the oracle."""
+
+    @given(st.data(), st.sampled_from(MUL_FIELDS))
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_generic(self, data, K):
+        a = data.draw(elem_tuples(K))
+        b = data.draw(elem_tuples(K))
+        assert K.mul_coeffs(a, b) == _mul(K, a, b)
+
+    @given(st.data(), st.sampled_from(MUL_FIELDS))
+    @settings(max_examples=40, deadline=None)
+    def test_square_matches_generic(self, data, K):
+        a = data.draw(elem_tuples(K))
+        assert K.mul_coeffs(a, a) == _mul(K, a, a)
+
+    def test_edge_cases(self):
+        K = MUL_FIELDS[2]
+        c = K.gen()
+        half = K.from_rational(Fraction(-1, 2))
+        for a, b in (
+            ((c,), (half,)),  # length 1
+            ((K.zero, c, K.zero), (half, K.zero)),  # zero coefficients
+            ((half, c * c, K.from_int(-7)), (c,)),  # unequal lengths
+        ):
+            assert K.mul_coeffs(a, b) == _mul(K, a, b)
+            assert K.mul_coeffs(b, a) == _mul(K, b, a)
 
 
 class TestNormTrace:

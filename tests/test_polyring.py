@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pcfcert.polyring import (
     NotDivisible,
+    PackedRows,
     Poly,
     QQ,
     ZZ,
@@ -15,8 +16,10 @@ from pcfcert.polyring import (
     discriminant,
     gcd_int_poly,
     gcd_poly,
+    kronecker_mul,
     mobius,
     primitive_part,
+    reduce_monic,
     resultant,
     xgcd_poly,
 )
@@ -104,6 +107,60 @@ class TestDivision:
         if a.is_zero:
             return
         assert (a * b).exact_div(a) == b
+
+
+# integer rows: signed entries from one bit to a few hundred bits, empty rows
+# (zero coefficients) included
+big_ints = st.integers(min_value=-(2**300), max_value=2**300) | ints
+rows_st = st.lists(st.lists(big_ints, max_size=5), min_size=1, max_size=7).filter(
+    lambda rows: any(rows)
+)
+
+
+def schoolbook_rows(a, b):
+    wa, wb = max(map(len, a)), max(map(len, b))
+    out = [[0] * (wa + wb - 1) for _ in range(len(a) + len(b) - 1)]
+    for i, ra in enumerate(a):
+        for j, rb in enumerate(b):
+            for k, x in enumerate(ra):
+                for l, y in enumerate(rb):
+                    out[i + j][k + l] += x * y
+    return out
+
+
+class TestKronecker:
+    @given(rows_st, st.integers(min_value=1, max_value=6))
+    @settings(max_examples=60)
+    def test_pack_roundtrip(self, rows, extra):
+        stride = max(map(len, rows)) + extra - 1
+        packed = PackedRows.pack(rows, stride)
+        assert packed.rows() == [row + [0] * (stride - len(row)) for row in rows]
+
+    @given(rows_st, rows_st)
+    @settings(max_examples=80)
+    def test_product_matches_schoolbook(self, a, b):
+        assert kronecker_mul(a, b) == schoolbook_rows(a, b)
+
+    @given(rows_st)
+    @settings(max_examples=40)
+    def test_square_matches_schoolbook(self, a):
+        assert kronecker_mul(a, a) == schoolbook_rows(a, a)
+
+
+class TestReduceMonic:
+    @given(
+        st.lists(big_ints, max_size=12),
+        st.lists(ints, min_size=1, max_size=5),
+        st.sampled_from([0, 2, 3, 7]),
+    )
+    @settings(max_examples=80)
+    def test_matches_divmod(self, coeffs, tail, p):
+        g = Poly.make(ZZ, tail + [1])
+        expected = list(Poly.make(ZZ, coeffs).divmod(g)[1].coeffs)
+        expected += [0] * (g.degree - len(expected))
+        if p:
+            expected = [c % p for c in expected]
+        assert reduce_monic(list(coeffs), g.coeffs, p) == expected
 
 
 class TestGcd:
