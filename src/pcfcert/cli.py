@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from . import jsonio
@@ -241,8 +242,15 @@ def _require_prime_d(d: int) -> None:
         raise UsageError(f"--d must be a prime >= 2, got {d}")
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser, built on the first ``run`` and reused: parsing keeps no
+    state between calls, and building it costs more than a small request."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cmd = args.command
     _require_prime_d(args.d)
 

@@ -20,6 +20,19 @@ Iterates are computed in packed form: f^k is a list of integer rows over
 Z[c]/(g), stored per field as one packed int, and each product on the way to
 f^(k+1) is one big-integer product (see polyring.kronecker_mul).
 
+The stability route never builds f^N over K.  Whether f^N - alpha is
+Eisenstein at a prime P above d depends only on the valuations of its
+coefficients at P.  The constant term a_N - alpha is valued exactly; the
+middle coefficients are those of f^N iterated in the residue ring
+(Z/p^T)[t]/(G) of P (numfield.residue_ring), where every coefficient is a
+row of residues a few bits wide.  That is sound because Z[c]/(g) ->
+(Z/p^T)[t]/(G) is a ring homomorphism: each residue row is the image of the
+exact coefficient.  A nonzero row gives an exact valuation below the cutoff
+(T for A, e*T for B), and a zero row one at or past it, so the least middle
+valuation and any middle refutation come from nonzero rows alone.  When no
+row is nonzero (always for N = 1), the certificate falls back to the exact
+f^N - alpha.  Either way the witnesses are those of the exact path.
+
 Irreducibility and stability certificates replay Eisenstein arguments at a
 prime above d.  The cyclotomic extension L = K(zeta) is never constructed:
 the Eisenstein data at the prime of L is determined by K-expressible facts
@@ -42,10 +55,19 @@ from .numfield import (
     Valuation,
     primes_above,
     reduce_poly_mod_prime,
+    residue_ring,
+    row_valuation,
     valuation,
 )
 from .orbits import DEFAULT_DEGREE_BUDGET, ExactType, orbit_value
-from .polyring import BudgetExceeded, PackedRows, Poly, gcd_poly
+from .polyring import (
+    BudgetExceeded,
+    PackedRows,
+    Poly,
+    gcd_poly,
+    pow_rows,
+    reduce_monic,
+)
 
 
 class ShapeViolation(Exception):
@@ -75,12 +97,32 @@ def iterate(
     if not cache:
         cache.append(PackedRows.pack([[], [1]], m))  # f^0 = x
     c0 = fieldK.gen().num.coeffs
+    g = fieldK.g.coeffs
     while len(cache) <= k:
-        rows = fieldK.pow_rows(cache[-1].rows(), d)
-        for j, c in enumerate(c0):
-            rows[0][j] += c
-        cache.append(PackedRows.pack(rows, m))
+        cache.append(PackedRows.pack(_apply_f(cache[-1].rows(), d, c0, g), m))
     return fieldK.poly_from_rows(cache[k].rows())
+
+
+def _apply_f(rows, d: int, c0, g, modulus: int = 0) -> list[list[int]]:
+    """rows^d + c0 over Z[c]/(g), or over (Z/modulus)[c]/(g)."""
+    rows = pow_rows(rows, d, g, modulus)
+    const = rows[0]
+    for j, c in enumerate(c0):
+        const[j] += c
+    if modulus:
+        rows[0] = [c % modulus for c in const]
+    return rows
+
+
+def residue_iterate(d: int, k: int, P: PrimeAboveD) -> list[list[int]]:
+    """The image of f^k in the residue ring (Z/p^T)[t]/(G) of P, as rows:
+    row j holds the residues of the coefficient of x^j (see
+    numfield.residue_ring).  Not cached: a row is a few bits wide."""
+    G, c0, q = residue_ring(P)
+    rows = [[0] * (len(G) - 1), reduce_monic([1], G, q)]  # f^0 = x
+    for _ in range(k):
+        rows = _apply_f(rows, d, c0, G, q)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -362,27 +404,38 @@ def verify_factorization(
 
 def eisenstein_certificate(h: Poly, P: PrimeAboveD) -> Certificate:
     """Eisenstein check for monic h with integral coefficients at P."""
-    cert = Certificate(
-        claim=f"eisenstein(deg={h.degree}, p={P.p})",
-        verdict=Verdict.VERIFIED,
-        taint=P.field.assumed,
-    )
     if not h.is_monic():
         raise ValueError("Eisenstein certificate requires a monic polynomial")
     for cf in h.coeffs[:-1]:
         if not cf.is_integral:
             raise NotIntegral("Eisenstein certificate requires integral coefficients")
-    const_val = valuation(h.constant_term, P)
-    if const_val.infinite or not const_val.exact or const_val.value != 1:
+    middle = (
+        (idx, valuation(cf, P))
+        for idx, cf in enumerate(h.coeffs[1:-1], 1)
+        if not cf.is_zero
+    )
+    return _eisenstein_verdict(h.degree, P, valuation(h.constant_term, P), middle)
+
+
+def _is_one(v: Valuation) -> bool:
+    return not v.infinite and v.exact and v.value == 1
+
+
+def _eisenstein_verdict(degree: int, P: PrimeAboveD, const_val: Valuation, middle):
+    """The Eisenstein verdict from the valuations of the constant term and
+    of the nonzero middle coefficients, ``middle`` as (index, Valuation) in
+    increasing index; read lazily, up to the first refutation."""
+    cert = Certificate(
+        claim=f"eisenstein(deg={degree}, p={P.p})",
+        verdict=Verdict.VERIFIED,
+        taint=P.field.assumed,
+    )
+    if not _is_one(const_val):
         cert.verdict = Verdict.REFUTED
         cert.witness("constant-valuation", valuation=str(const_val))
         return cert
     min_middle: Valuation | None = None
-    for idx in range(1, h.degree):
-        cf = h.coeff(idx)
-        if P.field.is_zero(cf):
-            continue
-        v = valuation(cf, P)
+    for idx, v in middle:
         if v.exact and v.value < 1:
             cert.verdict = Verdict.REFUTED
             cert.witness("middle-valuation", index=idx, valuation=str(v))
@@ -397,6 +450,39 @@ def eisenstein_certificate(h: Poly, P: PrimeAboveD) -> Certificate:
         min_middle_valuation=str(min_middle) if min_middle else "oo",
     )
     return cert
+
+
+def iterate_eisenstein_certificate(
+    fieldK: NumberField,
+    d: int,
+    N: int,
+    alpha: NFElem,
+    P: PrimeAboveD,
+    budget: int = DEFAULT_DEGREE_BUDGET,
+) -> Certificate:
+    """``eisenstein_certificate(f^N - alpha, P)``, without f^N over K.
+
+    The constant a_N - alpha is valued exactly and the middle coefficients
+    are read from ``residue_iterate``; the module docstring says why the
+    verdict and witnesses are the exact path's.  When no middle row is
+    nonzero (always for N = 1), the exact f^N - alpha is built instead.
+    """
+    if d**N > budget:
+        raise BudgetExceeded(f"deg f^{N} = {d}^{N} exceeds budget {budget}")
+    if not alpha.is_integral:
+        raise NotIntegral("Eisenstein certificate requires integral coefficients")
+    const_val = valuation(orbit_value(fieldK, d, N) - alpha, P)
+    middle = []
+    if _is_one(const_val):
+        rows = residue_iterate(d, N, P)
+        for idx, row in enumerate(rows[1:-1], 1):
+            v = row_valuation(row, P)
+            if v is not None:
+                middle.append((idx, Valuation.of(v)))
+        if not middle:
+            h = iterate(fieldK, d, N, budget) - Poly.constant(fieldK, alpha)
+            return eisenstein_certificate(h, P)
+    return _eisenstein_verdict(d**N, P, const_val, middle)
 
 
 def _alpha_valuation_ok(v: Valuation, typ: ExactType) -> bool:
@@ -418,7 +504,8 @@ def stability_certificate(
     """Certify irreducibility of f^k - alpha over K for all k <= N.
 
     Finds a prime above d where alpha meets the valuation hypothesis
-    (periodic: exactly 1; preperiodic: at least 2), then shows f^N - alpha
+    (periodic: exactly 1; preperiodic: at least 2) and requires alpha
+    integral (HypothesisUnmet otherwise), then shows f^N - alpha
     Eisenstein there for N the least multiple of the eventual period with
     N >= k_max.  Irreducibility descends to every k <= N because
     f^N - alpha = (f^k - alpha) o f^(N-k).
@@ -440,9 +527,10 @@ def stability_certificate(
             + ", ".join(f"v={v}" for _, v in seen)
         )
     P, v_alpha = chosen
+    if not alpha.is_integral:
+        raise HypothesisUnmet(f"alpha = {alpha} is not an algebraic integer")
     N = n * ((max(k_max, 1) + n - 1) // n)
-    h = iterate(fieldK, d, N, budget) - Poly.constant(fieldK, alpha)
-    eis = eisenstein_certificate(h, P)
+    eis = iterate_eisenstein_certificate(fieldK, d, N, alpha, P, budget)
     cert = Certificate(
         claim=f"stability(d={d}, type={typ}, k_max={k_max})",
         verdict=eis.verdict,

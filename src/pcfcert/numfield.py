@@ -19,6 +19,15 @@ Valuations at a prime above p come from one of two backends:
 Both backends compute against Z[c0].  This is sound: for A because p not
 dividing disc(g) forces p coprime to the index [O_K : Z[c0]], for B because
 an Eisenstein g makes Z[c0] maximal at p.  Anything else is Unsupported.
+
+Both backends read a valuation from the coordinates of an integral element
+in the residue ring (Z/p^T)[t]/(G) of the prime (``residue_ring``): G is the
+lifted factor for A, and g in the uniformizer t = c - s for B.  One reader,
+``row_valuation``, serves both; a row of residues that are all zero leaves
+the valuation undetermined (at least T for A, at least e*T for B).  Since
+Z[c]/(g) -> (Z/p^T)[t]/(G) is a ring homomorphism, a polynomial over Z[c]/(g)
+can be computed in that ring instead, which is what the stability route does
+with f^N (see factoring).
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from .polyring import (
     content,
     discriminant,
     gcd_int_poly,
-    kronecker_mul,
+    mul_rows,
     reduce_monic,
     resultant,
     xgcd_poly,
@@ -247,26 +256,8 @@ class NumberField(Ring):
         den = den_a * den_b
         return [
             NFElem(self, Poly.make(ZZ, row), den)
-            for row in self.mul_rows(rows_a, rows_b)
+            for row in mul_rows(rows_a, rows_b, self.g.coeffs)
         ]
-
-    def mul_rows(self, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-        """Product of polynomials over Z[c]/(g) given as integer rows."""
-        g = self.g.coeffs
-        return [reduce_monic(row, g) for row in kronecker_mul(a, b)]
-
-    def pow_rows(self, a: list[list[int]], e: int) -> list[list[int]]:
-        """``a`` to the power e >= 1 over Z[c]/(g), by reduced squarings.
-
-        Reducing mod g after every product keeps each big-int product at
-        rows of length 2m - 1, where one e-th power would need e(m - 1) + 1.
-        """
-        result = a
-        for bit in bin(e)[3:]:
-            result = self.mul_rows(result, result)
-            if bit == "1":
-                result = self.mul_rows(result, a)
-        return result
 
     @staticmethod
     def _rows(coeffs: tuple) -> tuple[list[list[int]], int]:
@@ -575,6 +566,43 @@ def _int_val(n: int, p: int) -> int:
     return v
 
 
+def residue_ring(P: PrimeAboveD) -> tuple[list[int], list[int], int]:
+    """(G, image of c0, p^T) for the ring (Z/p^T)[t]/(G) that reads v_P.
+
+    The map Z[c]/(g) -> (Z/p^T)[t]/(G) is a ring homomorphism, and the
+    residue row of an integral element is its ``row_valuation`` input.
+    Backend A: G is the lifted factor and t = c.  Backend B: G = g(t + s)
+    with t = c - s the uniformizer, so c0 maps to t + s.
+    """
+    q = P.p**P.T
+    shift = P.gen_shift
+    if P.backend == "A":
+        G = P.lifted_factor
+    else:
+        G = P.field.g.compose(Poly.from_ints(ZZ, [shift, 1]))
+    G = [c % q for c in G.coeffs]
+    return G, reduce_monic([shift, 1], G, q), q
+
+
+def row_valuation(row, P: PrimeAboveD) -> int | None:
+    """v_P of an integral element from its coordinates; None if undetermined.
+
+    Backend A: ``row`` holds the residues mod (G, p^T) in the basis 1, c,
+    ..., and v = min v_p(h_i).  Backend B: ``row`` holds the coefficients in
+    powers of the uniformizer, and v = min(e v_p(h_i) + i), the
+    Newton-polygon rule; they are exact, or residues mod p^T.  A nonzero
+    residue has v_p < T, so the value read from residues is exact and below
+    the cutoff (T for A, e*T for B).  An all-zero row only says the
+    valuation is at least the cutoff: None.
+    """
+    p, e = P.p, P.ramification
+    index_weight = P.backend == "B"
+    return min(
+        (e * _int_val(h, p) + index_weight * i for i, h in enumerate(row) if h),
+        default=None,
+    )
+
+
 def valuation(x: NFElem, P: PrimeAboveD) -> Valuation:
     """Valuation of x at P, normalized so v(p) = 1 (A) or v(p) = e (B)."""
     if x.field is not P.field:
@@ -583,24 +611,18 @@ def valuation(x: NFElem, P: PrimeAboveD) -> Valuation:
         return Valuation.infinity()
     p = P.p
     if P.backend == "B":
-        e = P.ramification
         num = x.num
         if P.gen_shift:
             num = num.compose(Poly.from_ints(ZZ, [P.gen_shift, 1]))
-        best = None
-        for i, h in enumerate(num.coeffs):
-            if h == 0:
-                continue
-            v = e * _int_val(h, p) + i
-            best = v if best is None else min(best, v)
-        return Valuation.of(best - e * _int_val(x.den, p))
+        v = row_valuation(num.coeffs, P)
+        return Valuation.of(v - P.ramification * _int_val(x.den, p))
     # backend A
-    modulus = p**P.T
     shift = _int_val(x.den, p)
-    coeffs = reduce_monic(list(x.num.coeffs), P.lifted_factor.coeffs, modulus)
-    if all(c == 0 for c in coeffs):
+    v = row_valuation(
+        reduce_monic(list(x.num.coeffs), P.lifted_factor.coeffs, p**P.T), P
+    )
+    if v is None:
         return Valuation.at_least(P.T - shift)
-    v = min(_int_val(c, p) for c in coeffs if c != 0)
     return Valuation.of(v - shift)
 
 

@@ -12,13 +12,17 @@ by Kronecker substitution instead: ``kronecker_mul`` packs every row into one
 Python int, does one big-integer product and unpacks the signed slots from
 the product's bytes, and ``reduce_monic`` reduces each row modulo g.
 ``reduce_monic`` is the one quotient-ring reduction for Z[c]/(g),
-Z[zeta]/(Phi_d) and F_p[t]/(h).
+Z[zeta]/(Phi_d) and F_p[t]/(h).  ``mul_rows`` and ``pow_rows`` multiply and
+power row polynomials over Z[c]/(g) or, given a modulus q, over
+(Z/q)[c]/(g): one loop serves a number field and its truncations.
 
 All operations are pure; polynomials are immutable after construction.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -424,6 +428,20 @@ def _bias(slots: int, nbytes: int) -> int:
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
 
 
+# slots of 1, 2, 4 or 8 bytes convert through an array of machine words on
+# little-endian hosts; the byte-by-byte path serves every width
+_WORD_FORMAT = (
+    {array(t).itemsize: t for t in "bhiq"} if sys.byteorder == "little" else {}
+)
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for |v| <= bound, rounded up to a machine word when
+    that is at most 8 bytes."""
+    nbytes = bound.bit_length() // 8 + 1
+    return min((w for w in _WORD_FORMAT if w >= nbytes), default=nbytes)
+
+
 def _max_abs(rows) -> int:
     return max(map(abs, chain.from_iterable(rows)), default=0)
 
@@ -451,12 +469,16 @@ class PackedRows(NamedTuple):
         absolute values up to ``bound`` (default: the largest entry)."""
         if bound is None:
             bound = _max_abs(rows)
-        nbytes = bound.bit_length() // 8 + 1
+        nbytes = _slot_bytes(bound)
         zeros = [0] * stride
         flat = chain.from_iterable(
             row if len(row) == stride else [*row, *zeros[len(row):]] for row in rows
         )
-        buf = b"".join([v.to_bytes(nbytes, "little", signed=True) for v in flat])
+        word = _WORD_FORMAT.get(nbytes)
+        if word:
+            buf = array(word, flat).tobytes()
+        else:
+            buf = b"".join([v.to_bytes(nbytes, "little", signed=True) for v in flat])
         bias = _bias(len(rows) * stride, nbytes)
         value = (int.from_bytes(buf, "little") ^ bias) - bias
         return PackedRows(value, len(rows), stride, nbytes)
@@ -467,10 +489,14 @@ class PackedRows(NamedTuple):
         slots = self.count * stride
         bias = _bias(slots, nbytes)
         buf = ((self.value + bias) ^ bias).to_bytes(slots * nbytes, "little")
-        flat = [
-            int.from_bytes(buf[i : i + nbytes], "little", signed=True)
-            for i in range(0, len(buf), nbytes)
-        ]
+        word = _WORD_FORMAT.get(nbytes)
+        if word:
+            flat = array(word, buf).tolist()
+        else:
+            flat = [
+                int.from_bytes(buf[i : i + nbytes], "little", signed=True)
+                for i in range(0, len(buf), nbytes)
+            ]
         return [flat[i : i + stride] for i in range(0, len(flat), stride)]
 
 
@@ -492,6 +518,34 @@ def kronecker_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     pb = pa if b is a else PackedRows.pack(b, stride, bound)
     product = pa.value * pb.value  # CPython squares when both are one object
     return PackedRows(product, len(a) + len(b) - 1, stride, pa.nbytes).rows()
+
+
+def mul_rows(
+    a: list[list[int]], b: list[list[int]], g: Sequence[int], modulus: int = 0
+) -> list[list[int]]:
+    """Product of polynomials over Z[c]/(g), given as integer rows.
+
+    With a ``modulus`` q the ring is (Z/q)[c]/(g) and every entry of the
+    result lies in [0, q).
+    """
+    return [reduce_monic(row, g, modulus) for row in kronecker_mul(a, b)]
+
+
+def pow_rows(
+    a: list[list[int]], e: int, g: Sequence[int], modulus: int = 0
+) -> list[list[int]]:
+    """``a`` to the power e >= 1 over Z[c]/(g), or (Z/modulus)[c]/(g).
+
+    Reducing after every squaring or multiply keeps each big-int product at
+    rows of length 2m - 1 (m = deg g), where one e-th power would need
+    e(m - 1) + 1.
+    """
+    result = a
+    for bit in bin(e)[3:]:
+        result = mul_rows(result, result, g, modulus)
+        if bit == "1":
+            result = mul_rows(result, a, g, modulus)
+    return result
 
 
 def gcd_poly(p: Poly, q: Poly) -> Poly:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pcfcert import cli
 from pcfcert.cli import main, parse_scalar_literal, UsageError
 from pcfcert.numfield import nf_new
 from pcfcert.polyring import Poly, ZZ
@@ -160,11 +161,77 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stability-cert", "--d", "3", "--gleason-n", "2", "--alpha", "3/2",
+             "--kmax", "3"),
+            # the nonabelian-cert cases that call the stability certificate
+            ("nonabelian-cert", "--d", "2", "--gleason-n", "3", "--case", "periodic-1",
+             "--alpha", "2/3"),
+            ("nonabelian-cert", "--d", "3", "--gleason-n", "2", "--case", "periodic-3",
+             "--alpha", "3/2"),
+        ],
+    )
+    def test_non_integral_alpha_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("hypothesis unmet: ") and "not an algebraic integer" in err
+
+    def test_non_integral_alpha_in_disc_parity_case(self, capsys):
+        # preperiodic-2 reports an unavailable stability route as a diagnostic
+        code, out, _ = run_cli(
+            capsys, "nonabelian-cert", "--d", "3", "--misiurewicz", "2,1",
+            "--case", "preperiodic-2", "--alpha", "9/2", "--format", "json",
+        )
+        assert code == 2
+        diagnostics = json.loads(out)["diagnostics"]
+        assert any("not an algebraic integer" in m for m in diagnostics)
+
     def test_reducible_field_exit_3(self, capsys, tmp_path):
         path = tmp_path / "field.json"
         path.write_text(json.dumps({"g": {"var": "c", "coeffs": ["-2", "1", "1"]}}))
         code, _, _ = run_cli(capsys, "exact-type", "--d", "2", "--field", str(path))
         assert code == 3
+
+
+class TestReach:
+    """Stability certificates at iterate degrees 4096 and 65536."""
+
+    @pytest.mark.parametrize("extra, N", [((), 12), (("--budget", "70000"), 16)])
+    def test_readme_stability_example(self, capsys, extra, N):
+        code, out, _ = run_cli(
+            capsys, "stability-cert", "--d", "2", "--misiurewicz", "2,1", "--alpha", "4",
+            "--kmax", str(N), *extra, "--format", "json",
+        )
+        cert = json.loads(out)
+        assert code == 0 and cert["verdict"] == "Verified"
+        assert [w["N"] for w in cert["witnesses"] if w["step"] == "descent"] == [N]
+
+
+class TestParser:
+    SEQUENCE = (
+        ("factor", "--d", "2", "--gleason-n", "2", "--k", "3", "--verify"),
+        ("factor", "--d", "2", "--gleason-n", "2", "--k", "3"),
+        ("gleason", "--d", "2", "--n", "3", "--format", "json"),
+        ("gleason", "--d", "2", "--n", "3"),
+        ("stability-cert", "--d", "3", "--gleason-n", "2", "--alpha", "3", "--kmax", "3",
+         "--format", "json"),
+        ("stability-cert", "--d", "3", "--gleason-n", "2", "--alpha", "3", "--kmax", "3"),
+        ("exact-type", "--d", "2"),
+        ("f-irred-cert", "--d", "2", "--gleason-n", "2", "--k", "2", "--i", "1"),
+        ("f-irred-cert", "--d", "2", "--gleason-n", "2", "--k", "2", "--format", "json"),
+    )
+
+    def test_shared_parser_matches_fresh_parsers(self, capsys):
+        cli._parser.cache_clear()
+        shared = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 3, 0, 0]
 
 
 class TestDeterminism:

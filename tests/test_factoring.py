@@ -1,7 +1,13 @@
 """Iterate factorization and the certificate routes built on it."""
 
-import pytest
+from contextlib import contextmanager
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcfcert import factoring
 from pcfcert.certificates import HypothesisUnmet, Verdict
 from pcfcert.factoring import (
     IterateForm,
@@ -11,15 +17,17 @@ from pcfcert.factoring import (
     f_irreducibility_certificate,
     factor_product_certificates,
     iterate,
+    iterate_eisenstein_certificate,
     iterate_factorization,
+    residue_iterate,
     stability_certificate,
     structural_form,
     verify_factorization,
 )
-from pcfcert.numfield import nf_new, primes_above
+from pcfcert.numfield import NotIntegral, nf_new, primes_above, residue_ring, valuation
 from pcfcert.orbits import exact_type, gleason, misiurewicz, orbit_value
 from pcfcert.factoring import periodic_orbit_value
-from pcfcert.polyring import Poly, ZZ
+from pcfcert.polyring import Poly, ZZ, reduce_monic
 
 
 def field(coeffs):
@@ -30,6 +38,10 @@ K22 = field([1, 1])  # period 2 at d = 2, c0 = -1
 K23 = nf_new(gleason(2, 3))  # period 3 at d = 2
 K32 = nf_new(gleason(3, 2))  # period 2 at d = 3, c0 = i
 KM21 = field([2, 1])  # c0 = -2, type (2,1) at d = 2
+KM22 = nf_new(misiurewicz(2, 2, 2)[1])  # c^2 + 1: 2 is ramified, e = 2, shift 1
+KM31 = nf_new(misiurewicz(2, 3, 1)[1])  # Eisenstein cubic at 2, e = 3
+KM321 = nf_new(misiurewicz(3, 2, 1)[1])  # Eisenstein quartic at 3, e = 4
+K24 = nf_new(gleason(2, 4))  # two primes above 2, f = 2 and f = 4
 
 
 class TestIterate:
@@ -180,7 +192,164 @@ class TestEisenstein:
         assert eisenstein_certificate(h, P).verdict is Verdict.REFUTED
 
 
+# the seven fields of the deep-iterate benchmark: (field, d, largest N)
+DEEP_FIELDS = [
+    pytest.param(KM21, 2, 6, id="m21-A-split"),
+    pytest.param(KM22, 2, 6, id="m22-B-e2"),
+    pytest.param(KM31, 2, 6, id="m31-B-e3"),
+    pytest.param(K22, 2, 6, id="g22-A-split"),
+    pytest.param(K23, 2, 6, id="g23-A-inert"),
+    pytest.param(K32, 3, 4, id="g32-A-inert"),
+    pytest.param(KM321, 3, 4, id="m321-B-e4"),
+]
+
+
+def residue_image(x, P):
+    """The image of an integral x in the residue ring of P, by definition."""
+    G, _, q = residue_ring(P)
+    num = x.num.compose(Poly.from_ints(ZZ, [P.gen_shift, 1]))
+    return reduce_monic(list(num.coeffs), G, q)
+
+
+def uniformizer(K, P):
+    return K.from_int(P.p) if P.backend == "A" else K.gen() - K.from_int(P.gen_shift)
+
+
+def expects_fallback(h, P):
+    """The truncated certificate must fall back to the exact f^N - alpha
+    exactly when the constant has valuation 1 and no nonzero middle
+    coefficient has a valuation below the cutoff (T for A, e*T for B)."""
+    const = valuation(h.constant_term, P)
+    if const.infinite or not const.exact or const.value != 1:
+        return False
+    cutoff = P.T * P.ramification
+    for cf in h.coeffs[1:-1]:
+        if not cf.is_zero:
+            v = valuation(cf, P)
+            if v.exact and v.value < cutoff:
+                return False
+    return True
+
+
+@contextmanager
+def exact_iterate_calls():
+    """Records (d, k) of every call the library makes to ``iterate``."""
+    calls = []
+
+    def spy(fieldK, d, k, *rest):
+        calls.append((d, k))
+        return iterate(fieldK, d, k, *rest)
+
+    factoring.iterate = spy
+    try:
+        yield calls
+    finally:
+        factoring.iterate = iterate
+
+
+def assert_matches_exact(K, d, N, alpha, P):
+    """Truncated and exact Eisenstein certificates agree, and the exact
+    iterate is built only when the fallback rule says so."""
+    with exact_iterate_calls() as calls:
+        fast = iterate_eisenstein_certificate(K, d, N, alpha, P)
+    h = iterate(K, d, N) - Poly.constant(K, alpha)
+    exact = eisenstein_certificate(h, P)
+    where = (K, d, N, str(alpha), P, P.T)
+    assert fast.claim == exact.claim, where
+    assert fast.verdict is exact.verdict, where
+    assert fast.witnesses == exact.witnesses, where
+    assert bool(calls) == expects_fallback(h, P), where
+    assert calls in ([], [(d, N)]), where
+    return fast, bool(calls)
+
+
+class TestTruncatedEisenstein:
+    @pytest.mark.parametrize("K, d, kmax", DEEP_FIELDS)
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_residue_rows_are_images_of_exact(self, K, d, kmax, T):
+        for P in primes_above(K, d, T):
+            for k in range(kmax + 1):
+                exact = iterate(K, d, k)
+                assert residue_iterate(d, k, P) == [
+                    residue_image(cf, P) for cf in exact.coeffs
+                ], (K, P, k)
+
+    @pytest.mark.parametrize("K, d, kmax", DEEP_FIELDS)
+    def test_witnesses_match_exact(self, K, d, kmax):
+        fallbacks = fast_paths = 0
+        for T in (1, 2, 3):
+            for P in primes_above(K, d, T):
+                for N in range(1, kmax + 1):
+                    a_N = orbit_value(K, d, N)
+                    pi = uniformizer(K, P)
+                    for alpha in (
+                        K.from_int(5 * d), K.from_int(7 * d * d),
+                        a_N - pi, a_N - pi * (K.one + K.gen()),
+                    ):
+                        _, fell_back = assert_matches_exact(K, d, N, alpha, P)
+                        fallbacks += fell_back
+                        fast_paths += not fell_back
+        # both routes are exercised on every field
+        assert fallbacks and fast_paths
+
+    def test_criterion_5_fields(self):
+        for K, d, N, alpha in ((KM21, 2, 12, 4), (K32, 3, 6, 3)):
+            (P,) = primes_above(K, d)
+            cert, fell_back = assert_matches_exact(K, d, N, K.from_int(alpha), P)
+            assert cert.verdict is Verdict.VERIFIED and not fell_back
+
+    def test_degree_one_iterate_takes_exact_path(self):
+        (P,) = primes_above(KM21, 2)
+        cert, fell_back = assert_matches_exact(KM21, 2, 1, KM21.from_int(4), P)
+        assert fell_back
+        assert cert.verdict is Verdict.VERIFIED
+        assert cert.witnesses[-1]["min_middle_valuation"] == "oo"
+
+    def test_non_integral_alpha_rejected_like_exact_path(self):
+        (P,) = primes_above(K32, 3)
+        alpha = K32.from_rational(Fraction(3, 2))
+        h = iterate(K32, 3, 2) - Poly.constant(K32, alpha)
+        with pytest.raises(NotIntegral):
+            eisenstein_certificate(h, P)
+        with pytest.raises(NotIntegral):
+            iterate_eisenstein_certificate(K32, 3, 2, alpha, P)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [(KM21, 2, 8), (KM22, 2, 8), (KM31, 2, 7), (K22, 2, 8), (K23, 2, 7),
+             (K24, 2, 6), (K32, 3, 4), (KM321, 3, 4)]
+        ),
+        N=st.integers(1, 8),
+        T=st.integers(1, 3),
+        coeffs=st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+        near_orbit=st.booleans(),
+    )
+    def test_random_integral_alpha(self, case, N, T, coeffs, near_orbit):
+        K, d, kmax = case
+        N = min(N, kmax)
+        for P in primes_above(K, d, T):
+            alpha = K.element(coeffs)
+            if near_orbit:  # a_N - pi * alpha: the constant has valuation >= 1
+                alpha = orbit_value(K, d, N) - uniformizer(K, P) * alpha
+            assert_matches_exact(K, d, N, alpha, P)
+
+
 class TestStability:
+    def test_truncated_route_builds_no_exact_iterate(self):
+        typ = exact_type(KM21, 2)
+        with exact_iterate_calls() as calls:
+            cert = stability_certificate(KM21, 2, typ, KM21.from_int(4), 12)
+        assert cert.verdict is Verdict.VERIFIED and calls == []
+
+    def test_non_integral_alpha_is_hypothesis_unmet(self):
+        typ = exact_type(K32, 3)
+        alpha = K32.from_rational(Fraction(3, 2))  # v = 1 at the prime above 3
+        with exact_iterate_calls() as calls:
+            with pytest.raises(HypothesisUnmet, match="not an algebraic integer"):
+                stability_certificate(K32, 3, typ, alpha, 3)
+        assert calls == []
+
     def test_preperiodic_at_minus_two(self):
         typ = exact_type(KM21, 2)
         cert = stability_certificate(KM21, 2, typ, KM21.from_int(4), 12)

@@ -136,6 +136,14 @@ class TestKronecker:
         packed = PackedRows.pack(rows, stride)
         assert packed.rows() == [row + [0] * (stride - len(row)) for row in rows]
 
+    @pytest.mark.parametrize(
+        "bound", [0, 127, 128, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**100]
+    )
+    def test_pack_roundtrip_at_slot_widths(self, bound):
+        # word-sized slots go through an array, the others byte by byte
+        packed = PackedRows.pack([[bound, -bound, 0], [-bound, 1], []], 3)
+        assert packed.rows() == [[bound, -bound, 0], [-bound, 1, 0], [0, 0, 0]]
+
     @given(rows_st, rows_st)
     @settings(max_examples=80)
     def test_product_matches_schoolbook(self, a, b):
