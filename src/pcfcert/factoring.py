@@ -45,21 +45,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
-from .finitefield import factor
+from .certificates import Certificate, HypothesisUnmet, Verdict
 from .numfield import (
     NFElem,
     NotIntegral,
     NumberField,
     PrimeAboveD,
     Valuation,
-    primes_above,
+    backend_a_primes,
+    irreducible_mod_prime,
+    is_unit,
+    nf_norm,
+    prime_with_valuation,
     reduce_poly_mod_prime,
     residue_ring,
     row_valuation,
     valuation,
 )
-from .orbits import DEFAULT_DEGREE_BUDGET, ExactType, orbit_value
+from .orbits import DEFAULT_DEGREE_BUDGET, ExactType, exact_type, orbit_value
 from .polyring import (
     BudgetExceeded,
     PackedRows,
@@ -189,8 +192,6 @@ def structural_form(
     u = a_k / a_i
     if not u.is_integral:
         raise NotIntegral(f"a_{k}/a_{i} is not an algebraic integer")
-    from .numfield import is_unit
-
     if not is_unit(u):
         raise NotUnit(f"a_{k}/a_{i} is not an algebraic unit")
     return IterateForm(
@@ -327,18 +328,8 @@ def _pairwise_coprime_witness(
     for e in product.entries:
         distinct.setdefault(e.label, e.poly)
     labels = sorted(distinct)
-    # find a usable odd prime with backend A for the fast path
-    fast_prime = None
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):
-        if p == product.d:
-            continue
-        try:
-            cand = primes_above(fieldK, p)
-        except Unsupported:
-            continue
-        if cand and cand[0].backend == "A":
-            fast_prime = cand[0]
-            break
+    odd = (p for p in (3, 5, 7, 11, 13, 17, 19, 23) if p != product.d)
+    _, _, fast_prime = next(backend_a_primes(fieldK, odd), (None, None, None))
     reduced = {}
     if fast_prime is not None:
         try:
@@ -485,14 +476,6 @@ def iterate_eisenstein_certificate(
     return _eisenstein_verdict(d**N, P, const_val, middle)
 
 
-def _alpha_valuation_ok(v: Valuation, typ: ExactType) -> bool:
-    if v.infinite:
-        return typ.kind == "preperiodic"  # v(0) = oo >= 2
-    if typ.kind == "periodic":
-        return v.exact and v.value == 1
-    return v.value >= 2  # exact or a lower bound of >= 2 both suffice
-
-
 def stability_certificate(
     fieldK: NumberField,
     d: int,
@@ -503,33 +486,26 @@ def stability_certificate(
 ) -> Certificate:
     """Certify irreducibility of f^k - alpha over K for all k <= N.
 
-    Finds a prime above d where alpha meets the valuation hypothesis
-    (periodic: exactly 1; preperiodic: at least 2) and requires alpha
-    integral (HypothesisUnmet otherwise), then shows f^N - alpha
+    Requires k_max >= 1 (ValueError otherwise).  Finds a prime above d where
+    alpha meets the valuation hypothesis (periodic: exactly 1; preperiodic:
+    at least 2, where oo and a lower bound of 2 both count) and requires
+    alpha integral (HypothesisUnmet otherwise), then shows f^N - alpha
     Eisenstein there for N the least multiple of the eventual period with
     N >= k_max.  Irreducibility descends to every k <= N because
     f^N - alpha = (f^k - alpha) o f^(N-k).
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     n = typ.n
-    primes = primes_above(fieldK, d)  # Unsupported propagates
-    chosen = None
-    seen = []
-    for P in primes:
-        v = valuation(alpha, P)
-        seen.append((P, v))
-        if _alpha_valuation_ok(v, typ):
-            chosen = (P, v)
-            break
-    if chosen is None:
-        need = "= 1" if typ.kind == "periodic" else ">= 2"
-        raise HypothesisUnmet(
-            f"no prime above {d} with v(alpha) {need}; found "
-            + ", ".join(f"v={v}" for _, v in seen)
+    if typ.kind == "periodic":
+        P, _, v_alpha = prime_with_valuation(alpha, d, _is_one, "= 1")
+    else:
+        P, _, v_alpha = prime_with_valuation(
+            alpha, d, lambda v: v.infinite or v.value >= 2, ">= 2"
         )
-    P, v_alpha = chosen
     if not alpha.is_integral:
         raise HypothesisUnmet(f"alpha = {alpha} is not an algebraic integer")
-    N = n * ((max(k_max, 1) + n - 1) // n)
+    N = n * ((k_max + n - 1) // n)
     eis = iterate_eisenstein_certificate(fieldK, d, N, alpha, P, budget)
     cert = Certificate(
         claim=f"stability(d={d}, type={typ}, k_max={k_max})",
@@ -577,9 +553,6 @@ def f_irreducibility_certificate(
         verdict=Verdict.INCONCLUSIVE,
         taint=fieldK.assumed,
     )
-    from .numfield import is_unit, nf_norm
-    from .orbits import exact_type
-
     typ = exact_type(fieldK, d)
     m = (i - k) % n
     primary_ok = True
@@ -620,32 +593,20 @@ def f_irreducibility_certificate(
         )
         return cert
     # fallback: mod-prime irreducibility of the factor itself
-    for p in (3, 5, 7, 11, 13, 2):
-        try:
-            primes = primes_above(fieldK, p)
-        except Unsupported:
-            continue
-        for P in primes:
-            if P.backend != "A":
-                continue
-            try:
-                poly = f_factor(fieldK, d, n, k, i, budget)
-                image = reduce_poly_mod_prime(poly, P)
-            except (ValueError, BudgetExceeded):
-                continue
-            if image.degree != poly.degree:
-                continue
-            fac = factor(image)
-            if len(fac) == 1 and fac[0][1] == 1:
-                cert.verdict = Verdict.VERIFIED
-                cert.witness(
-                    "mod-prime-irreducible",
-                    p=p,
-                    residue_degree=P.residue_degree,
-                    fallback=True,
-                )
-                cert.diagnose("certified by the fallback mod-prime route")
-                return cert
+    try:
+        found = irreducible_mod_prime(
+            f_factor(fieldK, d, n, k, i, budget), (3, 5, 7, 11, 13, 2)
+        )
+    except BudgetExceeded:
+        found = None
+    if found is not None:
+        p, _, P = found
+        cert.verdict = Verdict.VERIFIED
+        cert.witness(
+            "mod-prime-irreducible", p=p, residue_degree=P.residue_degree, fallback=True
+        )
+        cert.diagnose("certified by the fallback mod-prime route")
+        return cert
     cert.diagnose("both certificate routes failed")
     return cert
 

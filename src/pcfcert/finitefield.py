@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .polyring import Poly, Ring, ZZ, gcd_poly, reduce_monic
+from .polyring import Poly, Ring, ZZ, gcd_poly, reduce_monic, xgcd_poly
 
 DEFAULT_SEED = 1
 
@@ -112,8 +112,6 @@ class ExtField(Ring):
         if all(x == 0 for x in a):
             raise ZeroDivisionError("inverse of zero in F_q")
         apoly = Poly.make(self.base, a)
-        from .polyring import xgcd_poly
-
         g, s, _ = xgcd_poly(apoly, self.modpoly)
         if g.degree != 0:
             raise ZeroDivisionError("non-invertible element")
@@ -124,12 +122,6 @@ class ExtField(Ring):
 
     def from_int(self, n):
         return tuple([n % self.p] + [0] * (self.degree - 1))
-
-    def generator(self):
-        """The class of t."""
-        if self.degree == 1:
-            raise ValueError("prime field has no extension generator")
-        return tuple([0, 1] + [0] * (self.degree - 2))
 
     def pow(self, a, n: int):
         result = self.one
@@ -360,8 +352,6 @@ def _to_fp(poly: Poly, F: PrimeField) -> Poly:
 
 def _lift_pair(g: Poly, u: Poly, v: Poly, p: int, T: int) -> tuple[Poly, Poly]:
     """Lift monic u*v = g (mod p) to monic U*V = g (mod p^T)."""
-    from .polyring import xgcd_poly
-
     F = PrimeField(p)
     one, s, t = xgcd_poly(_to_fp(u, F), _to_fp(v, F))
     if one.degree != 0:

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .certificates import Certificate
-from .numfield import NFElem, NumberField, PrimeAboveD
+from .numfield import NFElem, NumberField
 from .polyring import Poly
 
 
@@ -43,17 +43,6 @@ def element_json(x: NFElem) -> dict:
 
 def field_json(fieldK: NumberField) -> dict:
     return {"g": poly_json(fieldK.g, "c")}
-
-
-def prime_json(P: PrimeAboveD) -> dict:
-    out = {"p": str(P.p), "backend": P.backend, "T": P.T}
-    if P.backend == "A":
-        out["factor"] = poly_json(P.lifted_factor, "c")
-        out["residue_degree"] = P.residue_degree
-    else:
-        out["ramification"] = P.ramification
-        out["gen_shift"] = P.gen_shift
-    return out
 
 
 def factor_product_json(product) -> dict:

@@ -28,6 +28,12 @@ the valuation undetermined (at least T for A, at least e*T for B).  Since
 Z[c]/(g) -> (Z/p^T)[t]/(G) is a ring homomorphism, a polynomial over Z[c]/(g)
 can be computed in that ring instead, which is what the stability route does
 with f^N (see factoring).
+
+Every certificate starts by choosing a prime, and the choice is made here:
+``backend_a_primes`` lists the backend-A primes above given rational primes,
+``irreducible_mod_prime`` finds the first where a polynomial over K reduces
+to an irreducible, and ``prime_with_valuation`` the first prime above p where
+the valuation of an element meets a case hypothesis.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .certificates import Certificate, Unsupported, Verdict
+from .certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
 from .finitefield import (
     ExtField,
     PrimeField,
@@ -556,6 +562,52 @@ def primes_above(field: NumberField, p: int, T: int = DEFAULT_PRECISION) -> list
             )
     field._primes_cache[key] = tuple(primes)
     return primes
+
+
+# -- choosing a prime ---------------------------------------------------------
+
+
+def backend_a_primes(K: NumberField, ps):
+    """(p, idx, P) for each backend-A prime P, the idx-th above p, for each
+    p in ps in order; a p that is Unsupported or backend B is skipped."""
+    for p in ps:
+        try:
+            primes = primes_above(K, p)
+        except Unsupported:
+            continue
+        for idx, P in enumerate(primes):
+            if P.backend == "A":
+                yield p, idx, P
+
+
+def irreducible_mod_prime(poly: Poly, ps):
+    """(p, idx, P) for the first backend-A prime above a p in ps where poly
+    over K reduces, at the same degree, to an irreducible; None if none.
+
+    Such a reduction certifies poly irreducible over K."""
+    for p, idx, P in backend_a_primes(poly.ring, ps):
+        try:
+            image = reduce_poly_mod_prime(poly, P)
+        except ValueError:
+            continue
+        if image.degree == poly.degree and is_irreducible(image):
+            return p, idx, P
+    return None
+
+
+def prime_with_valuation(x: NFElem, p: int, ok, need: str):
+    """(P, idx, v) for the first prime P above p, the idx-th, with
+    ok(v = v_P(x)).  Otherwise HypothesisUnmet, stating ``need`` and every
+    valuation seen; Unsupported propagates from primes_above."""
+    seen = []
+    for idx, P in enumerate(primes_above(x.field, p)):
+        v = valuation(x, P)
+        if ok(v):
+            return P, idx, v
+        seen.append(f"v={v}")
+    raise HypothesisUnmet(
+        f"no prime above {p} with v(alpha) {need}; found " + ", ".join(seen)
+    )
 
 
 def _int_val(n: int, p: int) -> int:

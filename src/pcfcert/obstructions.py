@@ -29,18 +29,20 @@ from dataclasses import dataclass
 
 from .certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
 from .factoring import iterate, stability_certificate
-from .finitefield import factor
 from .numfield import (
+    DEFAULT_PRECISION,
     NFElem,
     NumberField,
     PrimeAboveD,
+    irreducible_mod_prime,
+    is_unit,
     nf_norm,
+    prime_with_valuation,
     primes_above,
-    reduce_poly_mod_prime,
     valuation,
 )
 from .orbits import DEFAULT_DEGREE_BUDGET, ExactType, exact_type, orbit_value
-from .polyring import Poly, discriminant, resultant
+from .polyring import ZZ, Poly, discriminant, resultant
 
 DEFAULT_ORACLE_LIMIT = 4
 
@@ -145,8 +147,6 @@ _MAX_PRECISION = 64
 
 def _exact_valuation(fieldK: NumberField, x: NFElem, p: int, idx: int):
     """Valuation at the idx-th prime above p, raising precision until exact."""
-    from .numfield import DEFAULT_PRECISION
-
     T = DEFAULT_PRECISION
     while True:
         P = primes_above(fieldK, p, T)[idx]
@@ -228,8 +228,6 @@ def ideal_power_audit(
     a_nondiv = (d ** (m - 1) - 1) * (d - 1)
     a_i = orbit_value(fieldK, d, i)
     if i % n != 0:
-        from .numfield import is_unit
-
         return IdealAudit(
             i=i,
             a_emp=None,
@@ -288,18 +286,12 @@ def _elem_data(x: NFElem) -> dict:
     return {"num": list(x.num.coeffs), "den": x.den}
 
 
-def _find_prime(fieldK: NumberField, p: int, pred) -> tuple[PrimeAboveD, int, object]:
-    """First prime above p whose valuation of the probe satisfies pred."""
-    for idx, P in enumerate(primes_above(fieldK, p)):
-        v = pred(P)
-        if v is not None:
-            return P, idx, v
-    raise HypothesisUnmet(f"no prime above {p} satisfies the case hypothesis")
+# (ok, need) arguments of prime_with_valuation for the case hypotheses
+_V_IS_ONE = (lambda v: v.exact and v.value == 1, "= 1")
+_V_AT_LEAST_TWO = (lambda v: not v.infinite and v.value >= 2, ">= 2")
 
 
 def _unit_witness(cert: Certificate, label: str, x: NFElem) -> bool:
-    from .numfield import is_unit
-
     if not x.is_integral or not is_unit(x):
         cert.diagnose(f"{label} is not an algebraic unit")
         return False
@@ -328,32 +320,49 @@ def _odd_valuation_witness(
     return True
 
 
-def _mod_prime_irreducible(
-    cert: Certificate, fieldK: NumberField, poly: Poly, label: str
-) -> bool:
-    """Irreducibility of poly over K via an irreducible reduction."""
-    for p in (3, 5, 7, 11, 13, 17, 19):
-        try:
-            cand = primes_above(fieldK, p)
-        except Unsupported:
-            continue
-        for idx, P in enumerate(cand):
-            if P.backend != "A":
-                continue
-            try:
-                image = reduce_poly_mod_prime(poly, P)
-            except ValueError:
-                continue
-            if image.degree != poly.degree:
-                continue
-            fac = factor(image)
-            if len(fac) == 1 and fac[0][1] == 1:
-                cert.witness(
-                    "mod-prime-irreducible", label=label, p=p, prime_index=idx
-                )
-                return True
-    cert.diagnose(f"could not certify irreducibility of {label}")
-    return False
+def _stability_witness(cert: Certificate, fieldK, d, typ, alpha, k_max, budget) -> bool:
+    """Stability of f^k - alpha for k <= k_max, recorded as a witness."""
+    stab = stability_certificate(fieldK, d, typ, alpha, k_max, budget)
+    cert.witness("stability", verdict=stab.verdict.value, claim=stab.claim)
+    if not stab.verified:
+        cert.diagnose("stability certificate did not verify")
+    return stab.verified
+
+
+def _norm_identities(cert: Certificate, fieldK, d, n, alpha, a_n, budget) -> bool:
+    """Nm(beta) = a_(n-2) - alpha and Nm(f^2(0) - beta) = a_n - alpha, for
+    beta a root of f^(n-2) - alpha (a_n = 0 for a period-n parameter)."""
+    h = iterate(fieldK, d, n - 2, budget) - Poly.constant(fieldK, alpha)
+    nm_beta = relative_norm(h, Poly.x(fieldK))
+    if nm_beta != orbit_value(fieldK, d, n - 2) - alpha:
+        cert.diagnose("norm identity for beta failed")
+        return False
+    f2_0 = orbit_value(fieldK, d, 2)
+    nm_top = relative_norm(h, Poly.constant(fieldK, f2_0) - Poly.x(fieldK))
+    if nm_top != a_n - alpha:
+        cert.diagnose("norm identity for f^2(0) - beta failed")
+        return False
+    cert.witness(
+        "norm-identity",
+        identity="Nm(beta) = f^(n-2)(0) - alpha; Nm(f^2(0) - beta) = f^n(0) - alpha",
+        values=[_elem_data(nm_beta), _elem_data(nm_top)],
+    )
+    return True
+
+
+def _quartic_dichotomy(cert: Certificate, a_nm2, a_n, alpha, P, idx) -> None:
+    """One of the two norms must be a square; odd valuations refute both."""
+    elem1 = a_n - alpha
+    ok1 = _odd_valuation_witness(cert, "f^n(0) - alpha", elem1, P, idx)
+    ok2 = _odd_valuation_witness(
+        cert, "(f^(n-2)(0) - alpha)(f^n(0) - alpha)", (a_nm2 - alpha) * elem1, P, idx
+    )
+    if ok1 and ok2:
+        cert.verdict = Verdict.VERIFIED
+        cert.witness(
+            "contradiction",
+            note="both square-class candidates of the quartic dichotomy refuted",
+        )
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -400,10 +409,7 @@ def _new_cert(case: str, fieldK: NumberField, d: int, alpha: NFElem) -> Certific
 def _case_periodic_1(fieldK, d, alpha, typ, budget):
     # d = 2, period n >= 3, v(alpha) = 1 at a prime above 2
     _require(d == 2, "case periodic-1 requires d = 2")
-    P, idx, v_alpha = _find_prime(
-        fieldK, 2,
-        lambda P: (v := valuation(alpha, P)) and (v if v.exact and v.value == 1 else None),
-    )
+    P, idx, _ = prime_with_valuation(alpha, 2, *_V_IS_ONE)
     typ = typ or exact_type(fieldK, d)
     _require(typ.kind == "periodic" and typ.n >= 3, "requires periodic type, n >= 3")
     n = typ.n
@@ -412,41 +418,12 @@ def _case_periodic_1(fieldK, d, alpha, typ, budget):
         "hypothesis-valuation", p=2, prime_index=idx, valuation=1,
         element=_elem_data(alpha),
     )
-    stab = stability_certificate(fieldK, d, typ, alpha, n, budget)
-    cert.witness("stability", verdict=stab.verdict.value, claim=stab.claim)
-    if not stab.verified:
-        cert.diagnose("stability certificate did not verify")
+    if not (
+        _stability_witness(cert, fieldK, d, typ, alpha, n, budget)
+        and _norm_identities(cert, fieldK, d, n, alpha, fieldK.zero, budget)
+    ):
         return cert
-    # norm identities: beta a root of h = f^(n-2) - alpha
-    h = iterate(fieldK, d, n - 2, budget) - Poly.constant(fieldK, alpha)
-    a_nm2 = orbit_value(fieldK, d, n - 2)
-    nm_beta = relative_norm(h, Poly.x(fieldK))
-    if nm_beta != a_nm2 - alpha:
-        cert.diagnose("norm identity for beta failed")
-        return cert
-    f2_0 = orbit_value(fieldK, d, 2)
-    nm_top = relative_norm(h, Poly.constant(fieldK, f2_0) - Poly.x(fieldK))
-    elem1 = -alpha  # f^n(0) - alpha with f^n(0) = 0
-    if nm_top != elem1:
-        cert.diagnose("norm identity for f^2(0) - beta failed")
-        return cert
-    cert.witness(
-        "norm-identity",
-        identity="Nm(beta) = f^(n-2)(0) - alpha; Nm(f^2(0) - beta) = f^n(0) - alpha",
-        values=[_elem_data(nm_beta), _elem_data(nm_top)],
-    )
-    # quartic square-class dichotomy: one of the two norms must be a square
-    ok1 = _odd_valuation_witness(cert, "f^n(0) - alpha", elem1, P, idx)
-    elem2 = (a_nm2 - alpha) * elem1
-    ok2 = _odd_valuation_witness(
-        cert, "(f^(n-2)(0) - alpha)(f^n(0) - alpha)", elem2, P, idx
-    )
-    if ok1 and ok2:
-        cert.verdict = Verdict.VERIFIED
-        cert.witness(
-            "contradiction",
-            note="both square-class candidates of the quartic dichotomy refuted",
-        )
+    _quartic_dichotomy(cert, orbit_value(fieldK, d, n - 2), fieldK.zero, alpha, P, idx)
     return cert
 
 
@@ -470,8 +447,11 @@ def _case_periodic_2(fieldK, d, alpha, typ, budget):
         return cert
     # the relevant quartic: f^2 + a_2 = x^4 + 2 a_1 x^2 + 2 a_2
     quartic = iterate(fieldK, d, 2, budget) + Poly.constant(fieldK, a2)
-    if not _mod_prime_irreducible(cert, fieldK, quartic, "f^2 + a_2"):
+    found = irreducible_mod_prime(quartic, (3, 5, 7, 11, 13, 17, 19))
+    if found is None:
+        cert.diagnose("could not certify irreducibility of f^2 + a_2")
         return cert
+    cert.witness("mod-prime-irreducible", label="f^2 + a_2", p=found[0], prime_index=found[1])
     # 2 a_2 has odd valuation, so the quartic's group would have to be Z/4
     if not _odd_valuation_witness(cert, "2 a_2", fieldK.from_int(2) * a2, P, idx):
         return cert
@@ -494,10 +474,7 @@ def _case_periodic_2(fieldK, d, alpha, typ, budget):
 def _case_periodic_3(fieldK, d, alpha, typ, budget):
     # d > 2, v(alpha) = 1 at a prime above d
     _require(d > 2, "case periodic-3 requires d > 2")
-    P, idx, v_alpha = _find_prime(
-        fieldK, d,
-        lambda P: (v := valuation(alpha, P)) and (v if v.exact and v.value == 1 else None),
-    )
+    P, idx, _ = prime_with_valuation(alpha, d, *_V_IS_ONE)
     typ = typ or exact_type(fieldK, d)
     _require(typ.kind == "periodic", "requires periodic type")
     n = typ.n
@@ -506,10 +483,7 @@ def _case_periodic_3(fieldK, d, alpha, typ, budget):
         "hypothesis-valuation", p=d, prime_index=idx, valuation=1,
         element=_elem_data(alpha),
     )
-    stab = stability_certificate(fieldK, d, typ, alpha, n, budget)
-    cert.witness("stability", verdict=stab.verdict.value, claim=stab.claim)
-    if not stab.verified:
-        cert.diagnose("stability certificate did not verify")
+    if not _stability_witness(cert, fieldK, d, typ, alpha, n, budget):
         return cert
     # smallest j > 1 with n not dividing j (deterministic choice)
     j = 2
@@ -589,82 +563,44 @@ def _case_periodic_4(fieldK, d, alpha, typ, budget):
 def _case_preperiodic_1(fieldK, d, alpha, typ, budget):
     # d = 2, eventual period n >= 3, v(alpha) >= 2
     _require(d == 2, "case preperiodic-1 requires d = 2")
-    primes = primes_above(fieldK, 2)  # Unsupported propagates before type work
+    # the prime first: Unsupported propagates before any type work
+    P, idx, v_alpha = prime_with_valuation(alpha, 2, *_V_AT_LEAST_TWO)
     typ = typ or exact_type(fieldK, d)
     _require(
         typ.kind == "preperiodic" and typ.n >= 3,
         "requires strictly preperiodic type with eventual period n >= 3",
     )
     n = typ.n
-    chosen = None
-    for idx, P in enumerate(primes):
-        v = valuation(alpha, P)
-        if not v.infinite and v.value >= 2:
-            chosen = (P, idx, v)
-            break
-    _require(chosen is not None, "no prime above 2 with v(alpha) >= 2")
-    P, idx, v_alpha = chosen
     cert = _new_cert("preperiodic-1", fieldK, d, alpha)
     cert.witness(
         "hypothesis-valuation", p=2, prime_index=idx, valuation=str(v_alpha),
         element=_elem_data(alpha),
     )
-    stab = stability_certificate(fieldK, d, typ, alpha, n, budget)
-    cert.witness("stability", verdict=stab.verdict.value, claim=stab.claim)
-    if not stab.verified:
-        cert.diagnose("stability certificate did not verify")
-        return cert
-    # norm identities as in the periodic d = 2 case
-    h = iterate(fieldK, d, n - 2, budget) - Poly.constant(fieldK, alpha)
-    a_nm2 = orbit_value(fieldK, d, n - 2)
     a_n = orbit_value(fieldK, d, n)
-    if relative_norm(h, Poly.x(fieldK)) != a_nm2 - alpha:
-        cert.diagnose("norm identity for beta failed")
+    if not (
+        _stability_witness(cert, fieldK, d, typ, alpha, n, budget)
+        and _norm_identities(cert, fieldK, d, n, alpha, a_n, budget)
+    ):
         return cert
-    f2_0 = orbit_value(fieldK, d, 2)
-    if relative_norm(h, Poly.constant(fieldK, f2_0) - Poly.x(fieldK)) != a_n - alpha:
-        cert.diagnose("norm identity for f^2(0) - beta failed")
-        return cert
-    cert.witness(
-        "norm-identity",
-        identity="Nm(beta) = f^(n-2)(0) - alpha; Nm(f^2(0) - beta) = f^n(0) - alpha",
-    )
     # v(a_n) = 1 (computed, not assumed) and v(alpha) >= 2 force v odd
     v_an = valuation(a_n, P)
     if not (v_an.exact and v_an.value == 1):
         cert.diagnose(f"v(a_n) = {v_an}, expected exactly 1 (squarefree input)")
         return cert
     cert.witness("orbit-valuation", label="a_n", p=2, valuation=1, element=_elem_data(a_n))
-    if not _unit_witness(cert, "a_(n-2)", a_nm2):
-        return cert
-    ok1 = _odd_valuation_witness(cert, "f^n(0) - alpha", a_n - alpha, P, idx)
-    ok2 = _odd_valuation_witness(
-        cert, "(f^(n-2)(0) - alpha)(f^n(0) - alpha)", (a_nm2 - alpha) * (a_n - alpha), P, idx
-    )
-    if ok1 and ok2:
-        cert.verdict = Verdict.VERIFIED
-        cert.witness(
-            "contradiction",
-            note="both square-class candidates of the quartic dichotomy refuted",
-        )
+    a_nm2 = orbit_value(fieldK, d, n - 2)
+    if _unit_witness(cert, "a_(n-2)", a_nm2):
+        _quartic_dichotomy(cert, a_nm2, a_n, alpha, P, idx)
     return cert
 
 
 def _case_preperiodic_2(fieldK, d, alpha, typ, budget):
     # d > 2, v(alpha) >= 2: parity of v(disc(f^(3n) - alpha))
     _require(d > 2, "case preperiodic-2 requires d > 2")
-    primes = primes_above(fieldK, d)
+    P, idx, v_alpha = prime_with_valuation(alpha, d, *_V_AT_LEAST_TWO)
     typ = typ or exact_type(fieldK, d)
     _require(typ.kind == "preperiodic", "requires strictly preperiodic type")
     n = typ.n
-    chosen = None
-    for idx, P in enumerate(primes):
-        v = valuation(alpha, P)
-        if not v.infinite and v.value >= 2:
-            chosen = (P, idx, v)
-            break
-    _require(chosen is not None, f"no prime above {d} with v(alpha) >= 2")
-    P, idx, v_alpha = chosen
     cert = _new_cert("preperiodic-2", fieldK, d, alpha)
     exact_two = v_alpha.exact and v_alpha.value == 2
     cert.witness(
@@ -739,9 +675,6 @@ def replay_certificate(cert: Certificate, fieldK: NumberField) -> bool:
     Only recorded steps are replayed (no fresh search); any recomputed value
     disagreeing with its record fails the replay.
     """
-    from .numfield import is_unit
-    from .polyring import ZZ
-
     def rebuild(data: dict) -> NFElem:
         return NFElem(fieldK, Poly.make(ZZ, data["num"]), data["den"])
 

@@ -26,6 +26,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from typing import Any, NamedTuple, Sequence
 
 KARATSUBA_THRESHOLD = 32
@@ -667,8 +668,6 @@ def discriminant(p: Poly):
 
 def content(p: Poly) -> int:
     """Integer content (gcd of coefficients) of a polynomial over Z."""
-    from math import gcd
-
     g = 0
     for c in p.coeffs:
         g = gcd(g, c)
@@ -687,20 +686,18 @@ def primitive_part(p: Poly) -> Poly:
 
 def gcd_int_poly(p: Poly, q: Poly) -> Poly:
     """Gcd over Z: gcd of contents times the primitive gcd via Q."""
-    from math import gcd as igcd
-
     if p.is_zero:
         return q if q.is_zero else primitive_part(q).scale(abs(content(q)))
     if q.is_zero:
         return primitive_part(p).scale(abs(content(p)))
     # fall through: both nonzero
-    cg = igcd(content(p), content(q))
+    cg = gcd(content(p), content(q))
     pq = p.map_coeffs(QQ, Fraction)
     qq = q.map_coeffs(QQ, Fraction)
     g = gcd_poly(pq, qq)
     # clear denominators, take primitive part
     den = 1
     for c in g.coeffs:
-        den = den * c.denominator // igcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     gi = Poly.make(ZZ, [int(c * den) for c in g.coeffs])
     return primitive_part(gi).scale(cg)

@@ -188,6 +188,16 @@ class TestErrors:
         diagnostics = json.loads(out)["diagnostics"]
         assert any("not an algebraic integer" in m for m in diagnostics)
 
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    def test_kmax_below_one_exit_3(self, capsys, kmax):
+        # a claim about k <= 0 is vacuous: usage error, not a certificate
+        code, out, err = run_cli(
+            capsys, "stability-cert", "--d", "2", "--misiurewicz", "2,1", "--alpha", "4",
+            "--kmax", kmax,
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_reducible_field_exit_3(self, capsys, tmp_path):
         path = tmp_path / "field.json"
         path.write_text(json.dumps({"g": {"var": "c", "coeffs": ["-2", "1", "1"]}}))

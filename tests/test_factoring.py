@@ -24,7 +24,15 @@ from pcfcert.factoring import (
     structural_form,
     verify_factorization,
 )
-from pcfcert.numfield import NotIntegral, nf_new, primes_above, residue_ring, valuation
+from pcfcert.finitefield import factor
+from pcfcert.numfield import (
+    NotIntegral,
+    nf_new,
+    primes_above,
+    reduce_poly_mod_prime,
+    residue_ring,
+    valuation,
+)
 from pcfcert.orbits import exact_type, gleason, misiurewicz, orbit_value
 from pcfcert.factoring import periodic_orbit_value
 from pcfcert.polyring import Poly, ZZ, reduce_monic
@@ -390,3 +398,26 @@ class TestIrreducibilityCerts:
     def test_no_fallback_on_gleason_fields(self):
         cert = f_irreducibility_certificate(K23, 2, 3, 3, 2)
         assert not any(w.get("fallback") for w in cert.witnesses)
+
+    def test_fallback_route_verified(self):
+        # budget 8 rules out f^4 for the primary route, not F(2, 1) of degree 4
+        cert = f_irreducibility_certificate(K23, 2, 3, 2, 1, budget=8)
+        assert cert.verdict is Verdict.VERIFIED
+        assert cert.witnesses == [
+            {"step": "mod-prime-irreducible", "p": 3, "residue_degree": 3, "fallback": True}
+        ]
+        (P,) = primes_above(K23, 3)
+        assert len(factor(reduce_poly_mod_prime(f_factor(K23, 2, 3, 2, 1), P))) == 1
+
+    def test_fallback_builds_the_factor_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return f_factor(*args, **kwargs)
+
+        monkeypatch.setattr(factoring, "f_factor", counted)
+        # no backend-A prime gives an irreducible reduction of F(5, 1)
+        cert = f_irreducibility_certificate(K23, 2, 3, 5, 1, budget=64)
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert len(calls) == 1

@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcfcert.certificates import Unsupported, Verdict
+from pcfcert.certificates import HypothesisUnmet, Unsupported, Verdict
 from pcfcert.numfield import (
     NFElem,
     NotIntegral,
     Reducible,
     Valuation,
+    backend_a_primes,
     irreducibility_certificate,
+    irreducible_mod_prime,
     is_unit,
     nf_new,
     nf_norm,
     nf_trace,
+    prime_with_valuation,
     primes_above,
     reduce_mod_prime,
     valuation,
@@ -182,6 +185,59 @@ class TestPrimes:
         K = field([3, 0, 1])  # 2 | disc, no Eisenstein shift
         with pytest.raises(Unsupported):
             primes_above(K, 2)
+
+
+class TestPrimeSearch:
+    def test_backend_a_primes_skips_unsupported_and_backend_b(self):
+        K = field([3, 0, 1])  # 2: Unsupported; 3: backend B; 7 splits; 5 inert
+        found = [(p, idx, P.residue_degree) for p, idx, P in backend_a_primes(K, (2, 3, 7, 5))]
+        assert found == [(7, 0, 1), (7, 1, 1), (5, 0, 2)]
+        assert all(P.backend == "A" for _, _, P in backend_a_primes(K, (2, 3, 7, 5)))
+
+    def test_irreducible_mod_prime_first_irreducible_reduction(self):
+        K = field([0, 1])  # Q
+        x = Poly.x(K)
+        one = Poly.constant(K, K.one)
+        # x^2 + 1 splits mod 5 and is irreducible mod 3 and mod 7
+        p, idx, P = irreducible_mod_prime(x * x + one, (5, 3, 7))
+        assert (p, idx, P.p) == (3, 0, 3)
+        assert irreducible_mod_prime(x * x - one, (3, 5, 7)) is None  # splits
+
+    def test_irreducible_mod_prime_rejects_lost_degree(self):
+        K = field([0, 1])
+        x = Poly.x(K)
+        # 3x^2 + x + 1 reduces to the irreducible x + 1 mod 3, of lower degree
+        poly = Poly.constant(K, K.from_int(3)) * x * x + x + Poly.constant(K, K.one)
+        assert irreducible_mod_prime(poly, (3,)) is None
+
+    def test_irreducible_mod_prime_ignores_backend_b(self):
+        K = field([1, 0, 1])  # Q(i): 2 is backend B, 3 is inert
+        x = Poly.x(K)
+        # x^2 + x + 1 is irreducible mod the prime above 2 but splits over F_9
+        assert irreducible_mod_prime(x * x + x + Poly.constant(K, K.one), (2, 3)) is None
+
+    def test_prime_with_valuation_first_qualifying_index(self):
+        K = field([1, 0, 1])  # two primes above 5 in Q(i)
+        def is_one(v):
+            return v.exact and v.value == 1
+
+        alpha = K.gen() - K.from_int(2)  # valuations 0, 1
+        P, idx, v = prime_with_valuation(alpha, 5, is_one, "= 1")
+        assert (idx, v) == (1, Valuation.of(1)) and P is primes_above(K, 5)[1]
+        _, idx, _ = prime_with_valuation(K.from_int(5), 5, is_one, "= 1")  # 1, 1
+        assert idx == 0
+
+    def test_prime_with_valuation_unmet_lists_every_valuation(self):
+        K = field([1, 0, 1])
+        alpha = K.gen() - K.from_int(2)
+        with pytest.raises(HypothesisUnmet) as exc:
+            prime_with_valuation(alpha, 5, lambda v: v.value >= 2, ">= 2")
+        assert str(exc.value) == "no prime above 5 with v(alpha) >= 2; found v=0, v=1"
+
+    def test_prime_with_valuation_unsupported_propagates(self):
+        K = field([3, 0, 1])
+        with pytest.raises(Unsupported):
+            prime_with_valuation(K.from_int(4), 2, lambda v: True, ">= 0")
 
 
 class TestValuation:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from pcfcert.certificates import HypothesisUnmet, Unsupported, Verdict
+from pcfcert.certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
 from pcfcert.numfield import nf_new, primes_above, valuation
 from pcfcert.obstructions import (
+    _norm_identities,
     disc_iterate,
     ideal_power_audit,
     nonabelian_certificate,
@@ -12,7 +13,7 @@ from pcfcert.obstructions import (
     relative_norm,
     replay_certificate,
 )
-from pcfcert.orbits import exact_type, gleason, misiurewicz
+from pcfcert.orbits import exact_type, gleason, misiurewicz, orbit_value
 from pcfcert.polyring import Poly, ZZ, discriminant
 
 
@@ -179,6 +180,17 @@ class TestCaseDrivers:
     def test_hypothesis_unmet_on_wrong_degree(self):
         with pytest.raises(HypothesisUnmet):
             nonabelian_certificate("periodic-3", K23, 2, K23.from_int(2))
+
+    def test_norm_identities_record_values_with_nonzero_a_n(self):
+        # the preperiodic-1 form (a_n != 0), which no Misiurewicz field reaches
+        # yet; both identities hold for any c0, here c0 = -2 with n = 3
+        cert = Certificate(claim="norms", verdict=Verdict.INCONCLUSIVE)
+        alpha = KM21.from_int(4)
+        a_n = orbit_value(KM21, 2, 3)
+        assert _norm_identities(cert, KM21, 2, 3, alpha, a_n, 64)
+        (w,) = cert.witnesses
+        assert w["step"] == "norm-identity"
+        assert w["values"] == [{"num": [-6], "den": 1}, {"num": [-2], "den": 1}]
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
