@@ -1,9 +1,9 @@
 """Command-line front end: parameters, factorizations, certificates.
 
-Exit codes: 0 success/Verified, 1 Refuted, 2 Inconclusive or a case
-hypothesis unmet, 3 usage or input error, 4 no applicable backend or
-degree budget exceeded.  With --format json the output is byte-identical
-across runs for identical arguments and seed.
+Exit codes: 0 success/Verified, 1 Refuted or a falsified identity, 2
+Inconclusive or a hypothesis unmet, 3 usage or input error, 4 no applicable
+backend or degree budget exceeded.  With --format json the output is
+byte-identical across runs for identical arguments and seed.
 """
 
 from __future__ import annotations
@@ -19,13 +19,15 @@ from math import isqrt
 from . import jsonio
 from .certificates import HypothesisUnmet, Unsupported, Verdict
 from .factoring import (
+    NotUnit,
+    ShapeViolation,
     f_irreducibility_certificate,
     factor_product_certificates,
     iterate_factorization,
     stability_certificate,
     verify_factorization,
 )
-from .numfield import NFElem, Reducible, nf_new
+from .numfield import NFElem, NotIntegral, Reducible, nf_new
 from .obstructions import (
     CASES,
     OracleMismatch,
@@ -41,7 +43,7 @@ from .orbits import (
     misiurewicz,
     orbit_poly,
 )
-from .polyring import BudgetExceeded, Poly, ZZ
+from .polyring import BudgetExceeded, NotDivisible, Poly, ZZ
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -363,10 +365,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (Reducible, BoundExceeded, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (Reducible, BoundExceeded, ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except HypothesisUnmet as exc:
+    except (HypothesisUnmet, NotIntegral, NotUnit) as exc:
         print(f"hypothesis unmet: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (Unsupported, BudgetExceeded) as exc:
@@ -374,6 +376,9 @@ def main(argv=None) -> int:
         return EXIT_UNSUPPORTED
     except OracleMismatch as exc:
         print(f"refuted (internal oracle mismatch): {exc}", file=sys.stderr)
+        return EXIT_REFUTED
+    except (ShapeViolation, NotDivisible) as exc:
+        print(f"refuted (falsified identity): {exc}", file=sys.stderr)
         return EXIT_REFUTED
 
 

@@ -3,7 +3,8 @@
 Finite fields are Ring adapters for the generic Poly type: PrimeField for
 F_p (elements are ints in [0, p)) and ExtField for F_{p^f} (elements are
 length-f tuples of ints, coordinates in the power basis of the class of t
-modulo the defining polynomial).
+modulo the defining polynomial).  ``fp_rem`` and ``fp_gcd`` work on F_p[x]
+directly, on plain lists of residues, without the adapter.
 
 Factorization is squarefree decomposition, then distinct-degree splitting,
 then randomized equal-degree splitting.  The equal-degree stage is seeded so
@@ -143,12 +144,6 @@ class ExtField(Ring):
     def random_element(self, rng: random.Random):
         return tuple(rng.randrange(self.p) for _ in range(self.degree))
 
-    def coeff_repr(self, a):
-        poly = Poly.make(self.base, a)
-        if poly.degree <= 0:
-            return str(poly.constant_term)
-        return "(" + poly.to_string("t") + ")"
-
     def __eq__(self, other):
         return (
             isinstance(other, ExtField)
@@ -158,6 +153,31 @@ class ExtField(Ring):
 
     def __hash__(self):
         return hash(("Fq", self.p, self.modpoly.coeffs))
+
+
+def fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b in F_p[x], on lists of residues (ascending) with no trailing
+    zeros; so is the result."""
+    a, db, inv = list(a), len(b) - 1, pow(b[-1], -1, p)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = a[top] * inv % p
+        if c:
+            a[top - db : top] = [(x - c * y) % p for x, y in zip(a[top - db : top], b)]
+    del a[db:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd in F_p[x] of lists as ``fp_rem`` takes them, as ``gcd_poly``
+    over PrimeField(p) computes it; ValueError for gcd(0, 0)."""
+    if not (a or b):
+        raise ValueError("gcd(0, 0) undefined")
+    while b:
+        a, b = b, fp_rem(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
 
 
 def _field_params(F) -> tuple[int, int, int]:

@@ -6,8 +6,9 @@ import pytest
 
 from pcfcert import cli
 from pcfcert.cli import main, parse_scalar_literal, UsageError
-from pcfcert.numfield import nf_new
-from pcfcert.polyring import Poly, ZZ
+from pcfcert.factoring import NotUnit, ShapeViolation
+from pcfcert.numfield import NotIntegral, nf_new
+from pcfcert.polyring import NotDivisible, Poly, ZZ
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +188,27 @@ class TestErrors:
         assert code == 2
         diagnostics = json.loads(out)["diagnostics"]
         assert any("not an algebraic integer" in m for m in diagnostics)
+
+    @pytest.mark.parametrize(
+        "exc, code, prefix",
+        [
+            (ShapeViolation, 1, "refuted (falsified identity): "),
+            (NotDivisible, 1, "refuted (falsified identity): "),
+            (NotIntegral, 2, "hypothesis unmet: "),
+            (NotUnit, 2, "hypothesis unmet: "),
+            (ZeroDivisionError, 3, "error: "),
+        ],
+    )
+    def test_library_exception_exit_codes(self, capsys, monkeypatch, exc, code, prefix):
+        def driver(*args, **kwargs):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "verify_factorization", driver)
+        got, out, err = run_cli(
+            capsys, "factor", "--d", "2", "--gleason-n", "2", "--k", "3", "--verify",
+        )
+        assert got == code and out == ""
+        assert err == prefix + "boom\n" and "Traceback" not in err
 
     @pytest.mark.parametrize("kmax", ["0", "-3"])
     def test_kmax_below_one_exit_3(self, capsys, kmax):

@@ -1,13 +1,14 @@
 """Iterate factorization and the certificate routes built on it."""
 
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcfcert import factoring
+from pcfcert import factoring, numfield, polyring
 from pcfcert.certificates import HypothesisUnmet, Verdict
 from pcfcert.factoring import (
     IterateForm,
@@ -19,13 +20,15 @@ from pcfcert.factoring import (
     iterate,
     iterate_eisenstein_certificate,
     iterate_factorization,
+    iterate_rows,
     residue_iterate,
     stability_certificate,
     structural_form,
     verify_factorization,
 )
-from pcfcert.finitefield import factor
+from pcfcert.finitefield import ExtField, factor
 from pcfcert.numfield import (
+    NFElem,
     NotIntegral,
     nf_new,
     primes_above,
@@ -50,6 +53,7 @@ KM22 = nf_new(misiurewicz(2, 2, 2)[1])  # c^2 + 1: 2 is ramified, e = 2, shift 1
 KM31 = nf_new(misiurewicz(2, 3, 1)[1])  # Eisenstein cubic at 2, e = 3
 KM321 = nf_new(misiurewicz(3, 2, 1)[1])  # Eisenstein quartic at 3, e = 4
 K24 = nf_new(gleason(2, 4))  # two primes above 2, f = 2 and f = 4
+K52 = nf_new(gleason(5, 2))  # period 2 at d = 5
 
 
 class TestIterate:
@@ -169,6 +173,116 @@ class TestFactorization:
                 cert = verify_factorization(product)
                 assert cert.verdict is Verdict.VERIFIED, (d, n, k, cert.witnesses)
                 assert product.distinct_count == k - k // n + 1
+
+    @pytest.mark.parametrize(
+        "K, d, n, kmax",
+        # criterion 3's ranges; (2, 4) to the benchmark's k, (5, 2) to degree 625
+        [(K22, 2, 2, 10), (K23, 2, 3, 10), (K24, 2, 4, 8), (K32, 3, 2, 5),
+         (K52, 5, 2, 4)],
+    )
+    def test_row_tree_matches_left_to_right_product(self, K, d, n, kmax):
+        for k in range(1, kmax + 1):
+            product = iterate_factorization(K, d, n, k)
+            left_to_right = Poly.one(K)
+            for e in product.entries:
+                left_to_right = left_to_right * e.poly**e.exp
+            rows, den = product.expanded_rows()
+            assert den == 1 and product.expand() == left_to_right == iterate(K, d, k)
+            assert rows == iterate_rows(K, d, k), (d, n, k)
+
+    def test_modular_prime_has_residue_degree_one(self):
+        # the first backend-A prime above 3 is inert on (2, 3) and (2, 4)
+        for K, d, n, prime in ((K22, 2, 2, 3), (K23, 2, 3, 5), (K24, 2, 4, 13),
+                               (K32, 3, 2, 5)):
+            cert = verify_factorization(iterate_factorization(K, d, n, 4))
+            (w,) = [w for w in cert.witnesses if w["step"] == "pairwise-coprime"]
+            assert w["modular_prime"] == prime and w["exact_fallbacks"] == 0
+            P = next(P for P in primes_above(K, prime) if P.residue_degree == 1)
+            assert P.backend == "A"
+
+    def test_exact_route_without_a_degree_one_prime(self, monkeypatch):
+        # 3 is inert in the cubic field of (2, 3): no prime of degree 1 is left
+        monkeypatch.setattr(factoring, "COPRIME_PRIMES", (3,))
+        cert = verify_factorization(iterate_factorization(K23, 2, 3, 5))
+        assert cert.verdict is Verdict.VERIFIED
+        (w,) = [w for w in cert.witnesses if w["step"] == "pairwise-coprime"]
+        assert w["modular_prime"] is None
+        assert w["exact_fallbacks"] == w["pairs"] == 10
+
+    def test_verify_reaches_no_poly_arithmetic(self, monkeypatch):
+        # with a degree-1 prime, the check runs on integer rows and F_p lists
+        for K, d, n, k in ((K23, 2, 3, 6), (K24, 2, 4, 5)):
+            product = iterate_factorization(K, d, n, k)
+            verify_factorization(product)  # fills the per-field prime cache
+            with monkeypatch.context() as m:
+                def forbidden(*args, **kwargs):
+                    raise AssertionError("reached from verify_factorization")
+
+                m.setattr(Poly, "__mul__", forbidden)
+                m.setattr(NFElem, "__init__", forbidden)
+                m.setattr(ExtField, "__init__", forbidden)
+                m.setattr(numfield, "reduce_poly_mod_prime", forbidden)
+                m.setattr(factoring, "reduce_poly_mod_prime", forbidden, raising=False)
+                m.setattr(polyring, "gcd_poly", forbidden)
+                m.setattr(factoring, "gcd_poly", forbidden)
+                cert = verify_factorization(product)
+            assert cert.verdict is Verdict.VERIFIED
+
+    def test_non_integral_factor_refuted(self):
+        product = iterate_factorization(K23, 2, 3, 4)
+        half = Poly.constant(K23, K23.from_rational(Fraction(1, 2)))
+        e = product.entries[0]
+        bad = replace(product, entries=(
+            replace(e, poly=e.poly + half), *product.entries[1:]
+        ))
+        cert = verify_factorization(bad)
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.witnesses == [{"step": "product-mismatch", "degree": 16}]
+        zero = replace(product, entries=(replace(e, poly=Poly.zero(K23)), *product.entries[1:]))
+        cert = verify_factorization(zero)
+        assert cert.witnesses == [{"step": "product-mismatch", "degree": -1}]
+
+    def test_common_denominator_is_carried(self):
+        # 2 F * (F' / 2) keeps the identity: a factorization over K, Verified
+        product = iterate_factorization(K23, 2, 3, 4)
+        two = Poly.constant(K23, K23.from_int(2))
+        half = Poly.constant(K23, K23.from_rational(Fraction(1, 2)))
+        a, b, *rest = product.entries
+        scaled = replace(product, entries=(
+            replace(a, poly=a.poly * two), replace(b, poly=b.poly * half), *rest
+        ))
+        assert scaled.expanded_rows()[1] == 2
+        cert = verify_factorization(scaled)
+        assert cert.verdict is Verdict.VERIFIED
+        assert {"step": "product-identity", "degree": 16} in cert.witnesses
+
+    def test_image_mod_matches_reduce_poly_mod_prime(self):
+        for K, d, n, k, p in ((K22, 2, 2, 5, 3), (K23, 2, 3, 5, 5), (K24, 2, 4, 4, 13),
+                              (K32, 3, 2, 3, 5)):
+            P = next(P for P in primes_above(K, p) if P.residue_degree == 1)
+            for e in iterate_factorization(K, d, n, k).entries:
+                image = factoring._image_mod(e.poly, P)
+                assert image == list(reduce_poly_mod_prime(e.poly, P).coeffs)
+        # no image when a coefficient has a pole at P or the degree drops
+        P = next(P for P in primes_above(K23, 5) if P.residue_degree == 1)
+        x = Poly.x(K23)
+        fifth = Poly.constant(K23, K23.from_rational(Fraction(1, 5)))
+        five = Poly.constant(K23, K23.from_int(5))
+        assert factoring._image_mod(x + fifth, P) is None
+        assert factoring._image_mod(x * five + Poly.one(K23), P) is None
+
+    def test_duplicated_factor_is_common_factor(self):
+        # linear^2 split into two labels of exponent 1: the identity holds
+        product = iterate_factorization(K22, 2, 2, 3)
+        linear = next(e for e in product.entries if e.label == "linear")
+        assert linear.exp == 2
+        entries = [e for e in product.entries if e is not linear]
+        entries += [replace(linear, exp=1), replace(linear, label="copy", exp=1)]
+        cert = verify_factorization(replace(product, entries=tuple(entries)))
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.witnesses[-1] == {
+            "step": "common-factor", "labels": ["copy", "linear"], "gcd": "x + 1",
+        }
 
     def test_tampered_product_refuted(self):
         product = iterate_factorization(K22, 2, 2, 3)

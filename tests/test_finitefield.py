@@ -10,11 +10,13 @@ from pcfcert.finitefield import (
     NotSquarefree,
     PrimeField,
     factor,
+    fp_gcd,
+    fp_rem,
     hensel_lift,
     is_irreducible,
     squarefree_decomposition,
 )
-from pcfcert.polyring import Poly, ZZ
+from pcfcert.polyring import Poly, ZZ, gcd_poly
 
 
 def fp(p, coeffs):
@@ -109,6 +111,34 @@ class TestFactor:
         for g, m in fac:
             prod = prod * g**m
         assert prod == f
+
+
+class TestFpKernel:
+    """The list kernels against gcd_poly and divmod over PrimeField."""
+
+    @given(
+        p=st.sampled_from([2, 3, 5, 13]),
+        a=st.lists(st.integers(-30, 30), max_size=8),
+        b=st.lists(st.integers(-30, 30), max_size=8),
+        common=st.lists(st.integers(-30, 30), max_size=4),
+        equal=st.booleans(),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_poly_path(self, p, a, b, common, equal):
+        c = fp(p, common)
+        A = fp(p, a) * (c if not c.is_zero else Poly.one(c.ring))
+        B = A if equal else fp(p, b) * (c if not c.is_zero else Poly.one(c.ring))
+
+        a, b = list(A.coeffs), list(B.coeffs)
+        if A.is_zero and B.is_zero:
+            with pytest.raises(ValueError):
+                gcd_poly(A, B)
+            with pytest.raises(ValueError):
+                fp_gcd(a, b, p)
+            return
+        assert fp_gcd(a, b, p) == list(gcd_poly(A, B).coeffs)
+        if b:
+            assert fp_rem(a, b, p) == list(A.divmod(B)[1].coeffs)
 
 
 class TestHensel:

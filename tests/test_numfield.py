@@ -6,22 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcfcert import numfield
 from pcfcert.certificates import HypothesisUnmet, Unsupported, Verdict
+from pcfcert.finitefield import factor
 from pcfcert.numfield import (
     NFElem,
     NotIntegral,
     Reducible,
     Valuation,
+    _tiny_factor_search,
     backend_a_primes,
     irreducibility_certificate,
     irreducible_mod_prime,
     is_unit,
     nf_new,
     nf_norm,
-    nf_trace,
     prime_with_valuation,
     primes_above,
-    reduce_mod_prime,
+    reduce_poly_mod_prime,
+    residue_field,
     valuation,
 )
 from pcfcert.polyring import Poly, ZZ, _mul
@@ -112,12 +115,6 @@ class TestNormTrace:
         y = K.gen() ** 2 - K.one
         assert nf_norm(x * y) == nf_norm(x) * nf_norm(y)
 
-    def test_trace_linear(self):
-        # trace(c0) = -(second-highest coefficient)
-        K = field([7, 5, -3, 1])
-        assert nf_trace(K.gen()) == 3
-        assert nf_trace(K.from_int(4)) == 12
-
     def test_quadratic_norms(self):
         K = field([1, 0, 1])  # Q(i)
         c = K.gen()
@@ -154,6 +151,32 @@ class TestIrreducibility:
     def test_cyclotomic_style_verified(self):
         cert = irreducibility_certificate(Poly.from_ints(ZZ, [3, 0, 3, 0, 1]))
         assert cert.verdict is Verdict.VERIFIED
+
+    def test_recombination_exhausted(self):
+        # x^4 + 1 splits mod every prime, so only recombination certifies it
+        cert = irreducibility_certificate(Poly.from_ints(ZZ, [1, 0, 0, 0, 1]))
+        assert cert.verdict is Verdict.VERIFIED
+        assert cert.witnesses == [{"step": "recombination-exhausted", "p": 3}]
+
+    def test_repeated_factor_mod_p_is_not_verified(self, monkeypatch):
+        # a factorization with a repeated factor gives the search nothing to
+        # lift: the certificate must say so, not claim an exhausted search
+        def repeated(poly, seed=1):
+            (f, _), *rest = factor(poly)
+            return [(f, 2), *rest]
+
+        monkeypatch.setattr(numfield, "factor", repeated)
+        cert = irreducibility_certificate(Poly.from_ints(ZZ, [1, 0, 0, 0, 1]))
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert cert.diagnostics == [
+            "recombination search not applicable: g is not squarefree mod 3"
+        ]
+
+    def test_one_factor_mod_p_is_not_applicable(self):
+        # x^2 + 1 is irreducible mod 3: there is nothing to recombine
+        g = Poly.from_ints(ZZ, [1, 0, 1])
+        assert _tiny_factor_search(g, 3) == "g mod 3 has one factor: nothing to recombine"
+        assert _tiny_factor_search(g, 5) is None  # (x - 2)(x + 2): no factor over Z
 
     def test_reducible_field_rejected(self):
         with pytest.raises(Reducible):
@@ -283,13 +306,22 @@ class TestValuation:
 
 class TestResidue:
     def test_reduction_is_homomorphic(self):
-        K = field([1, 1, 2, 1])
-        P = primes_above(K, 5)[0]
-        x = K.gen() + K.from_int(2)
-        y = K.gen() ** 2 - K.one
-        F = reduce_mod_prime(x, P), reduce_mod_prime(y, P)
-        from pcfcert.numfield import residue_field
+        for g, p, idx in (
+            ([1, 1, 2, 1], 5, 0),  # backend A, f = 1
+            ([1, 1, 2, 1], 5, 1),  # backend A, f = 2
+            ([1, 1, 2, 1], 3, 0),  # backend A, f = 3
+            ([3, 0, 3, 0, 1], 3, 0),  # backend B, Eisenstein at 3
+            ([1, 0, 1], 2, 0),  # backend B, shift 1
+            ([4, -2, 1], 3, 0),  # backend B, shift 1: g(c + 1) = c^2 + 3
+        ):
+            K = field(g)
+            P = primes_above(K, p)[idx]
+            x = K.gen() + K.from_rational(Fraction(7, 11))
+            y = K.gen() ** 2 - K.one
 
-        R = residue_field(P)
-        assert reduce_mod_prime(x * y, P) == R.mul(F[0], F[1])
-        assert reduce_mod_prime(x + y, P) == R.add(F[0], F[1])
+            def reduce(z):
+                return reduce_poly_mod_prime(Poly.constant(K, z), P).constant_term
+
+            R = residue_field(P)
+            assert reduce(x * y) == R.mul(reduce(x), reduce(y)), (g, p, idx)
+            assert reduce(x + y) == R.add(reduce(x), reduce(y)), (g, p, idx)

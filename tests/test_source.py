@@ -30,3 +30,21 @@ def test_no_function_level_imports():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert SOURCES and not found, found
+
+
+def test_no_broad_except():
+    # a broad handler turns any bug inside a proof step into a verdict
+    broad = {"Exception", "BaseException"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ExceptHandler)
+        and (
+            node.type is None
+            or {
+                n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)
+            } & broad
+        )
+    ]
+    assert SOURCES and not found, found
