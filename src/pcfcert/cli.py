@@ -255,6 +255,8 @@ def run(argv) -> int:
     args = _parser().parse_args(argv)
     cmd = args.command
     _require_prime_d(args.d)
+    if args.precision < 1:
+        raise UsageError(f"--precision must be >= 1, got {args.precision}")
 
     if cmd == "gleason":
         g = gleason(args.d, args.n, args.budget)

@@ -18,7 +18,8 @@ division (Poly.exact_div) stays only as the tests' oracle for this sum.
 
 Iterates are computed in packed form: f^k is a list of integer rows over
 Z[c]/(g), stored per field as one packed int, and each product on the way to
-f^(k+1) is one big-integer product (see polyring.kronecker_mul).
+f^(k+1) is one big-integer product reduced a column at a time (see
+polyring.mul_rows).
 
 The stability route never builds f^N over K.  Whether f^N - alpha is
 Eisenstein at a prime P above d depends only on the valuations of its
@@ -29,9 +30,12 @@ row of residues a few bits wide.  That is sound because Z[c]/(g) ->
 (Z/p^T)[t]/(G) is a ring homomorphism: each residue row is the image of the
 exact coefficient.  A nonzero row gives an exact valuation below the cutoff
 (T for A, e*T for B), and a zero row one at or past it, so the least middle
-valuation and any middle refutation come from nonzero rows alone.  When no
-row is nonzero (always for N = 1), the certificate falls back to the exact
-f^N - alpha.  Either way the witnesses are those of the exact path.
+valuation and any middle refutation come from nonzero rows alone.  As
+v_p(gcd) = min v_p, that least valuation is ``row_valuation`` of the column
+gcds, on both backends; the rows are read one by one only when it is below
+1, to name the first refuting index.  When no row is nonzero (always for
+N = 1), the certificate falls back to the exact f^N - alpha.  Either way
+the witnesses are those of the exact path.
 
 Irreducibility and stability certificates replay Eisenstein arguments at a
 prime above d.  The cyclotomic extension L = K(zeta) is never constructed:
@@ -355,7 +359,7 @@ def _image_mod(poly: Poly, P: PrimeAboveD) -> list[int] | None:
 
 
 def _pairwise_coprime_witness(product: FactorProduct, cert: Certificate) -> bool:
-    """Check all distinct labeled factors are pairwise coprime.
+    """Check each label holds one polynomial and all are pairwise coprime.
 
     Fast path: gcds in F_p[x] at the first backend-A prime P of residue
     degree 1 above a p in COPRIME_PRIMES, p != d (sound: the reductions keep
@@ -366,7 +370,10 @@ def _pairwise_coprime_witness(product: FactorProduct, cert: Certificate) -> bool
     fieldK = product.field
     distinct = {}
     for e in product.entries:
-        distinct.setdefault(e.label, e.poly)
+        if distinct.setdefault(e.label, e.poly) != e.poly:
+            cert.verdict = Verdict.REFUTED
+            cert.witness("label-conflict", label=e.label)
+            return False
     labels = sorted(distinct)
     odd = (p for p in COPRIME_PRIMES if p != product.d)
     primes = (P for _, _, P in backend_a_primes(fieldK, odd) if P.residue_degree == 1)
@@ -499,14 +506,18 @@ def iterate_eisenstein_certificate(
     const_val = valuation(orbit_value(fieldK, d, N) - alpha, P)
     middle = []
     if _is_one(const_val):
-        rows = residue_iterate(d, N, P)
-        for idx, row in enumerate(rows[1:-1], 1):
-            v = row_valuation(row, P)
-            if v is not None:
-                middle.append((idx, Valuation.of(v)))
-        if not middle:
+        rows = residue_iterate(d, N, P)[1:-1]
+        least = row_valuation([gcd(*col) for col in zip(*rows)], P)
+        if least is None:
             h = iterate(fieldK, d, N, budget) - Poly.constant(fieldK, alpha)
             return eisenstein_certificate(h, P)
+        middle = [(None, Valuation.of(least))]  # refutes nothing: no index
+        if least < 1:
+            middle = (
+                (idx, Valuation.of(v))
+                for idx, row in enumerate(rows, 1)
+                if (v := row_valuation(row, P)) is not None
+            )
     return _eisenstein_verdict(d**N, P, const_val, middle)
 
 

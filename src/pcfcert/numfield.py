@@ -4,8 +4,8 @@ A NumberField doubles as a coefficient-ring adapter for Poly, so polynomials
 over K (iterates of x^d + c, factors of the closed-form factorization) reuse
 the generic dense-polynomial machinery.  Their products take the Kronecker
 path: the coefficients become integer rows over a common denominator, one
-big-integer product multiplies all rows at once, and each row is reduced
-modulo g.
+big-integer product multiplies all rows at once, and the rows are reduced
+modulo g a column at a time (polyring.mul_rows).
 
 Valuations at a prime above p come from one of two backends:
 

@@ -10,11 +10,11 @@ schoolbook/Karatsuba ``_mul`` on ring elements.  A ring whose elements are
 integer rows (a number field Q[c]/(g) over a common denominator) multiplies
 by Kronecker substitution instead: ``kronecker_mul`` packs every row into one
 Python int, does one big-integer product and unpacks the signed slots from
-the product's bytes, and ``reduce_monic`` reduces each row modulo g.
-``reduce_monic`` is the one quotient-ring reduction for Z[c]/(g),
-Z[zeta]/(Phi_d) and F_p[t]/(h).  ``mul_rows`` and ``pow_rows`` multiply and
-power row polynomials over Z[c]/(g) or, given a modulus q, over
-(Z/q)[c]/(g): one loop serves a number field and its truncations.
+the product's bytes.  ``mul_rows`` and ``pow_rows`` multiply and power row
+polynomials over Z[c]/(g) or, given a modulus q, over (Z/q)[c]/(g): they
+hold the rows as columns (entry j of every row), so one list operation
+reduces a whole column modulo g and q.  ``reduce_monic`` reduces a single
+element of Z[c]/(g), Z[zeta]/(Phi_d) or F_p[t]/(h).
 
 All operations are pure; polynomials are immutable after construction.
 """
@@ -25,7 +25,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd
 from typing import Any, NamedTuple, Sequence
 
@@ -447,6 +447,34 @@ def _max_abs(rows) -> int:
     return max(map(abs, chain.from_iterable(rows)), default=0)
 
 
+def _columns(rows) -> tuple[list, int]:
+    """Rows as (columns, row count), a short row padded with zeros."""
+    return list(zip_longest(*rows, fillvalue=0)), len(rows)
+
+
+def _pack(cols, count: int, stride: int, nbytes: int) -> int:
+    """Rows in column form packed into one int, as in ``PackedRows``."""
+    flat = [0] * (count * stride)
+    for j, col in enumerate(cols):
+        flat[j::stride] = col
+    if word := _WORD_FORMAT.get(nbytes):
+        buf = array(word, flat).tobytes()
+    else:
+        buf = b"".join([v.to_bytes(nbytes, "little", signed=True) for v in flat])
+    bias = _bias(len(flat), nbytes)
+    return (int.from_bytes(buf, "little") ^ bias) - bias
+
+
+def _unpack(value: int, slots: int, nbytes: int) -> list[int]:
+    """The signed slots of a packed int, in order."""
+    bias = _bias(slots, nbytes)
+    buf = ((value + bias) ^ bias).to_bytes(slots * nbytes, "little")
+    if word := _WORD_FORMAT.get(nbytes):
+        return array(word, buf).tolist()
+    step = range(0, len(buf), nbytes)
+    return [int.from_bytes(buf[i : i + nbytes], "little", signed=True) for i in step]
+
+
 class PackedRows(NamedTuple):
     """Rows of signed integers packed into one int.
 
@@ -463,62 +491,59 @@ class PackedRows(NamedTuple):
     nbytes: int
 
     @staticmethod
-    def pack(
-        rows: Sequence[Sequence[int]], stride: int, bound: int | None = None
-    ) -> "PackedRows":
-        """Pack rows of at most ``stride`` entries, with slots wide enough for
-        absolute values up to ``bound`` (default: the largest entry)."""
-        if bound is None:
-            bound = _max_abs(rows)
-        nbytes = _slot_bytes(bound)
-        zeros = [0] * stride
-        flat = chain.from_iterable(
-            row if len(row) == stride else [*row, *zeros[len(row):]] for row in rows
-        )
-        word = _WORD_FORMAT.get(nbytes)
-        if word:
-            buf = array(word, flat).tobytes()
-        else:
-            buf = b"".join([v.to_bytes(nbytes, "little", signed=True) for v in flat])
-        bias = _bias(len(rows) * stride, nbytes)
-        value = (int.from_bytes(buf, "little") ^ bias) - bias
-        return PackedRows(value, len(rows), stride, nbytes)
+    def pack(rows: Sequence[Sequence[int]], stride: int) -> "PackedRows":
+        """Pack rows of at most ``stride`` entries."""
+        cols, count = _columns(rows)
+        nbytes = _slot_bytes(_max_abs(cols))
+        return PackedRows(_pack(cols, count, stride, nbytes), count, stride, nbytes)
 
     def rows(self) -> list[list[int]]:
         """Every row, ``stride`` entries each."""
-        nbytes, stride = self.nbytes, self.stride
-        slots = self.count * stride
-        bias = _bias(slots, nbytes)
-        buf = ((self.value + bias) ^ bias).to_bytes(slots * nbytes, "little")
-        word = _WORD_FORMAT.get(nbytes)
-        if word:
-            flat = array(word, buf).tolist()
-        else:
-            flat = [
-                int.from_bytes(buf[i : i + nbytes], "little", signed=True)
-                for i in range(0, len(buf), nbytes)
-            ]
+        stride = self.stride
+        flat = _unpack(self.value, self.count * stride, self.nbytes)
         return [flat[i : i + stride] for i in range(0, len(flat), stride)]
 
 
-def kronecker_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Product of two polynomials whose coefficients are integer rows.
-
-    Row j of the result is sum_i a[i] * b[j - i], each a product of
-    polynomials in the second variable, of length wa + wb - 1.  One big-int
-    product (a square when ``a is b``).
-    """
-    wa = max(1, max(map(len, a)))
-    wb = max(1, max(map(len, b)))
+def _product(a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
+    """Product of polynomials with integer-row coefficients, in column form:
+    row j is sum_i a[i] * b[j - i], rows of length wa + wb - 1.  One big-int
+    product, a square when ``a is b`` (CPython squares one object)."""
+    (ca, na), (cb, nb) = a, b
+    wa, wb = max(1, len(ca)), max(1, len(cb))
     stride = wa + wb - 1
     # a product slot sums at most min(len) * min(width) products of two
     # entries; the slots must also hold the entries themselves
-    ma, mb = _max_abs(a), _max_abs(b)
-    bound = max(ma * mb * min(len(a), len(b)) * min(wa, wb), ma, mb)
-    pa = PackedRows.pack(a, stride, bound)
-    pb = pa if b is a else PackedRows.pack(b, stride, bound)
-    product = pa.value * pb.value  # CPython squares when both are one object
-    return PackedRows(product, len(a) + len(b) - 1, stride, pa.nbytes).rows()
+    ma, mb = _max_abs(ca), _max_abs(cb)
+    nbytes = _slot_bytes(max(ma * mb * min(na, nb) * min(wa, wb), ma, mb))
+    va = _pack(ca, na, stride, nbytes)
+    vb = va if b is a else _pack(cb, nb, stride, nbytes)
+    flat = _unpack(va * vb, (na + nb - 1) * stride, nbytes)
+    return [flat[j::stride] for j in range(stride)], na + nb - 1
+
+
+def kronecker_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """``_product`` on rows; every row of the result has wa + wb - 1 entries."""
+    ca = _columns(a)
+    cols, _ = _product(ca, ca if b is a else _columns(b))
+    return list(map(list, zip(*cols)))
+
+
+def _mul_columns(a, b, g: Sequence[int], modulus: int) -> tuple[list, int]:
+    """``_product`` reduced modulo the monic g (m = deg g), and then into
+    [0, modulus), a whole column at a time: from the top column k down to
+    m, column k - m + j gains -g_j times column k for each nonzero g_j."""
+    cols, count = _product(a, b)
+    m = len(g) - 1
+    tail = [(j, -c) for j, c in enumerate(g[:m]) if c]
+    for k in range(len(cols) - 1, m - 1, -1):
+        top = cols[k]
+        for j, gj in tail:
+            i = k - m + j
+            cols[i] = [x + gj * t for x, t in zip(cols[i], top)]
+    cols = cols[:m] + [[0] * count] * (m - len(cols))
+    if modulus:
+        cols = [[x % modulus for x in col] for col in cols]
+    return cols, count
 
 
 def mul_rows(
@@ -527,9 +552,11 @@ def mul_rows(
     """Product of polynomials over Z[c]/(g), given as integer rows.
 
     With a ``modulus`` q the ring is (Z/q)[c]/(g) and every entry of the
-    result lies in [0, q).
+    result lies in [0, q).  Every row has deg g entries.
     """
-    return [reduce_monic(row, g, modulus) for row in kronecker_mul(a, b)]
+    ca = _columns(a)
+    cols, _ = _mul_columns(ca, ca if b is a else _columns(b), g, modulus)
+    return list(map(list, zip(*cols)))
 
 
 def pow_rows(
@@ -539,14 +566,14 @@ def pow_rows(
 
     Reducing after every squaring or multiply keeps each big-int product at
     rows of length 2m - 1 (m = deg g), where one e-th power would need
-    e(m - 1) + 1.
+    e(m - 1) + 1.  Rows go to column form once, and back once.
     """
-    result = a
+    base = result = _columns(a)
     for bit in bin(e)[3:]:
-        result = mul_rows(result, result, g, modulus)
+        result = _mul_columns(result, result, g, modulus)
         if bit == "1":
-            result = mul_rows(result, a, g, modulus)
-    return result
+            result = _mul_columns(result, base, g, modulus)
+    return a if result is base else list(map(list, zip(*result[0])))
 
 
 def gcd_poly(p: Poly, q: Poly) -> Poly:

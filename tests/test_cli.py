@@ -220,6 +220,15 @@ class TestErrors:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("precision", ["0", "-2"])
+    def test_precision_below_one_exit_3(self, capsys, precision):
+        code, out, err = run_cli(
+            capsys, "stability-cert", "--d", "2", "--misiurewicz", "2,1", "--alpha", "4",
+            "--kmax", "3", "--precision", precision,
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: --precision must be >= 1, got {precision}\n"
+
     def test_reducible_field_exit_3(self, capsys, tmp_path):
         path = tmp_path / "field.json"
         path.write_text(json.dumps({"g": {"var": "c", "coeffs": ["-2", "1", "1"]}}))

@@ -3,6 +3,7 @@
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from pcfcert.certificates import HypothesisUnmet, Verdict
 from pcfcert.factoring import (
     IterateForm,
     ShapeViolation,
+    _eisenstein_verdict,
     eisenstein_certificate,
     f_factor,
     f_irreducibility_certificate,
@@ -30,10 +32,12 @@ from pcfcert.finitefield import ExtField, factor
 from pcfcert.numfield import (
     NFElem,
     NotIntegral,
+    Valuation,
     nf_new,
     primes_above,
     reduce_poly_mod_prime,
     residue_ring,
+    row_valuation,
     valuation,
 )
 from pcfcert.orbits import exact_type, gleason, misiurewicz, orbit_value
@@ -284,6 +288,22 @@ class TestFactorization:
             "step": "common-factor", "labels": ["copy", "linear"], "gcd": "x + 1",
         }
 
+    def test_label_filed_twice_is_refuted(self):
+        # linear^2 (x-1)^2 F(2,1) = f^3 with one x + 1 filed under F(0,1):
+        # the identity and the label count hold, the labels do not
+        product = iterate_factorization(K22, 2, 2, 3)
+        entry = {e.label: e for e in product.entries}
+        linear, f01 = entry["linear"], entry["F(0,1)"]
+        assert (linear.exp, f01.exp) == (2, 2)
+        entries = (
+            entry["F(2,1)"], replace(linear, exp=1), f01,
+            replace(f01, poly=linear.poly, exp=1),
+        )
+        cert = verify_factorization(replace(product, entries=entries))
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.witnesses[0]["step"] == "product-identity"
+        assert cert.witnesses[-1] == {"step": "label-conflict", "label": "F(0,1)"}
+
     def test_tampered_product_refuted(self):
         product = iterate_factorization(K22, 2, 2, 3)
         from pcfcert.factoring import FactorEntry, FactorProduct
@@ -455,6 +475,98 @@ class TestTruncatedEisenstein:
             if near_orbit:  # a_N - pi * alpha: the constant has valuation >= 1
                 alpha = orbit_value(K, d, N) - uniformizer(K, P) * alpha
             assert_matches_exact(K, d, N, alpha, P)
+
+
+def per_row_middle(rows, P):
+    """The middle (index, Valuation) pairs read one row at a time."""
+    return [
+        (idx, Valuation.of(v))
+        for idx, row in enumerate(rows, 1)
+        if (v := row_valuation(row, P)) is not None
+    ]
+
+
+# two backend-A primes (split, inert) and two backend-B primes (e = 2, 3)
+READER_FIELDS = [
+    pytest.param(KM21, id="A-split"),
+    pytest.param(K23, id="A-inert"),
+    pytest.param(KM22, id="B-e2"),
+    pytest.param(KM31, id="B-e3"),
+]
+
+
+def truncated_on_rows(K, P, rows, N=3):
+    """``iterate_eisenstein_certificate`` with the middle residue rows of
+    f^N replaced by ``rows``, at alpha = a_N - pi (constant valuation 1);
+    returns the certificate and the exact iterates it built."""
+    m = len(residue_ring(P)[0]) - 1
+    alpha = orbit_value(K, 2, N) - uniformizer(K, P)
+    padded = [[0] * m, *rows, [1] + [0] * (m - 1)]
+    with exact_iterate_calls() as calls, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factoring, "residue_iterate", lambda *_: padded)
+        cert = iterate_eisenstein_certificate(K, 2, N, alpha, P)
+    return cert, calls
+
+
+class TestColumnGcdReader:
+    """The least middle valuation from column gcds, against the per-row
+    reader it replaces."""
+
+    @pytest.mark.parametrize("K", READER_FIELDS)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_row_reader(self, K, data):
+        for P in primes_above(K, 2):
+            G, _, q = residue_ring(P)
+            m = len(G) - 1
+            entry = st.sampled_from([0, 0, 2, 4]) | st.integers(0, q - 1)
+            row = st.lists(entry, min_size=m, max_size=m)
+            rows = data.draw(st.lists(row, min_size=1, max_size=8))
+            per_row = per_row_middle(rows, P)
+            least = row_valuation([gcd(*col) for col in zip(*rows)], P)
+            assert least == min((v.value for _, v in per_row), default=None)
+            cert, calls = truncated_on_rows(K, P, rows)
+            if not per_row:
+                assert calls == [(2, 3)]
+                continue
+            old = _eisenstein_verdict(8, P, Valuation.of(1), per_row)
+            assert calls == []
+            assert (cert.verdict, cert.witnesses) == (old.verdict, old.witnesses)
+
+    @pytest.mark.parametrize("K", READER_FIELDS)
+    def test_all_zero_rows_take_exact_fallback(self, K):
+        for P in primes_above(K, 2):
+            m = len(residue_ring(P)[0]) - 1
+            rows = [[0] * m] * 5
+            assert row_valuation([gcd(*col) for col in zip(*rows)], P) is None
+            _, calls = truncated_on_rows(K, P, rows)
+            assert calls == [(2, 3)]
+
+    def test_refuting_index_is_the_first(self):
+        # rows 3 and 5 have valuation 0; the witness names row 3
+        (P,) = primes_above(KM21, 2)
+        cert, _ = truncated_on_rows(KM21, P, [[2], [0], [1], [2], [3]])
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.witnesses[-1] == {
+            "step": "middle-valuation", "index": 3, "valuation": "0",
+        }
+
+    def test_row_valuation_calls_do_not_grow_with_rows(self, monkeypatch):
+        # f^10 - 4 has 2^10 - 1 middle rows; the truncated route reads them
+        # through one row of column gcds
+        calls = []
+
+        def counting(row, P):
+            calls.append(len(row))
+            return row_valuation(row, P)
+
+        monkeypatch.setattr(factoring, "row_valuation", counting)
+        typ = exact_type(KM21, 2)
+        with exact_iterate_calls() as exact:
+            cert = stability_certificate(KM21, 2, typ, KM21.from_int(4), 10)
+        assert cert.verdict is Verdict.VERIFIED and exact == []
+        assert cert.witnesses[-1]["N"] == 10
+        assert len(calls) <= 2
 
 
 class TestStability:

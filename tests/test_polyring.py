@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcfcert.polyring import (
@@ -18,6 +18,8 @@ from pcfcert.polyring import (
     gcd_poly,
     kronecker_mul,
     mobius,
+    mul_rows,
+    pow_rows,
     primitive_part,
     reduce_monic,
     resultant,
@@ -169,6 +171,41 @@ class TestReduceMonic:
         if p:
             expected = [c % p for c in expected]
         assert reduce_monic(list(coeffs), g.coeffs, p) == expected
+
+
+def per_row_mul(a, b, g, q):
+    """The per-row product: each row of the product reduced on its own."""
+    return [reduce_monic(row, g, q) for row in kronecker_mul(a, b)]
+
+
+# monic g of degree 1..5, with negative and zero tail coefficients
+monic_st = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(lambda t: t + [1])
+modulus_st = st.sampled_from([0, 8, 27])
+BIG = [[2**100, -(2**90), 3], [-(2**80)]]  # slots wider than 8 bytes
+
+
+class TestMulRows:
+    """Whole-column reduction against the per-row oracle."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(rows_st, rows_st, monic_st, modulus_st, st.booleans())
+    @example(BIG, [[1, -1], [2**70]], [-3, 0, 1], 27, False)
+    @example(BIG, BIG, [5, 0, -1, 0, 0, 1], 8, True)
+    @example([[7]], [[-2, 0, 1]], [0, 0, 1], 0, False)
+    def test_mul_rows_matches_per_row(self, a, b, g, q, square):
+        if square:
+            b = a
+        assert mul_rows(a, b, g, q) == per_row_mul(a, b, g, q)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(rows_st, st.integers(1, 5), monic_st, modulus_st)
+    @example(BIG, 3, [2, -1, 0, 1], 0)
+    @example(BIG, 2, [-1, 1], 27)
+    def test_pow_rows_matches_per_row(self, a, e, g, q):
+        expected = a
+        for _ in range(e - 1):
+            expected = per_row_mul(expected, a, g, q)
+        assert pow_rows(a, e, g, q) == expected
 
 
 class TestGcd:
