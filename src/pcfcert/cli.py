@@ -106,11 +106,21 @@ def parse_scalar_literal(text: str, fieldK) -> NFElem:
     return total
 
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
 def _load_field_file(path: str) -> Poly:
+    """g from {"g": {"coeffs": [...]}}, ascending, each coefficient a JSON
+    int or a decimal-integer string (as jsonio writes them)."""
     with open(path) as fh:
         data = json.load(fh)
-    coeffs = [int(c) for c in data["g"]["coeffs"]]
-    return Poly.from_ints(ZZ, coeffs)
+    g = data.get("g") if isinstance(data, dict) else None
+    coeffs = g.get("coeffs") if isinstance(g, dict) else None
+    if not isinstance(coeffs, list) or not all(
+        isinstance(c, (int, str)) and _INT_RE.fullmatch(str(c)) for c in coeffs
+    ):  # str(True) is "True": a JSON boolean is rejected
+        raise UsageError(f"{path}: expected integer coefficients at g.coeffs")
+    return Poly.from_ints(ZZ, [int(c) for c in coeffs])
 
 
 def _parse_mn(text: str) -> tuple[int, int]:

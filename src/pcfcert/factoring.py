@@ -155,7 +155,7 @@ class IterateForm:
 
 
 def _divisible_by_d(x: NFElem, d: int) -> bool:
-    return x.is_integral and all(c % d == 0 for c in x.num.coeffs)
+    return x.is_integral and all(c % d == 0 for c in x.num)
 
 
 def structural_form(

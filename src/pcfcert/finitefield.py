@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .polyring import Poly, Ring, ZZ, gcd_poly, reduce_monic, xgcd_poly
+from .polyring import Poly, Ring, ZZ, gcd_poly, mul_mod, ring_pow, xgcd_poly
 
 DEFAULT_SEED = 1
 
@@ -99,12 +99,7 @@ class ExtField(Ring):
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        out = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return tuple(reduce_monic(out, self.modpoly.coeffs, self.p))
+        return tuple(mul_mod(a, b, self.modpoly.coeffs, self.p))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -124,19 +119,9 @@ class ExtField(Ring):
     def from_int(self, n):
         return tuple([n % self.p] + [0] * (self.degree - 1))
 
-    def pow(self, a, n: int):
-        result = self.one
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            n >>= 1
-            if n:
-                a = self.mul(a, a)
-        return result
-
     def pth_root(self, a):
         # Frobenius is x -> x^p; its inverse is x -> x^(p^(f-1)).
-        return self.pow(a, self.p ** (self.degree - 1))
+        return ring_pow(self, a, self.p ** (self.degree - 1))
 
     def element_key(self, a):
         return tuple(a)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .certificates import Certificate
 from .numfield import NFElem, NumberField
-from .polyring import Poly
+from .polyring import ZZ, Poly
 
 
 def _coeff_json(c):
@@ -38,7 +38,7 @@ def cyc_poly_json(p: Poly, var: str = "c") -> dict:
 
 
 def element_json(x: NFElem) -> dict:
-    return {"num": poly_json(x.num, "c"), "den": str(x.den)}
+    return {"num": poly_json(Poly(ZZ, x.num), "c"), "den": str(x.den)}
 
 
 def field_json(fieldK: NumberField) -> dict:

@@ -1,11 +1,17 @@
 """Arithmetic in K = Q[c]/(g) with primes above a rational prime.
 
+An element of K (NFElem) is an integer row ``num``, its coordinates in 1, c,
+..., c^(m-1) with no trailing zeros, over a positive ``den``, in lowest terms
+(zero is ((), 1)).  Products are polyring.mul_mod, powers polyring.ring_pow;
+an element keeps its inverse once computed (a resultant divides many
+coefficients by one element).
+
 A NumberField doubles as a coefficient-ring adapter for Poly, so polynomials
 over K (iterates of x^d + c, factors of the closed-form factorization) reuse
 the generic dense-polynomial machinery.  Their products take the Kronecker
-path: the coefficients become integer rows over a common denominator, one
-big-integer product multiplies all rows at once, and the rows are reduced
-modulo g a column at a time (polyring.mul_rows).
+path: the coefficient rows over a common denominator are multiplied by one
+big-integer product and reduced modulo g a column at a time
+(polyring.mul_rows).
 
 Valuations at a prime above p come from one of two backends:
 
@@ -40,7 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
+from typing import Sequence
 
 from .certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
 from .finitefield import (
@@ -55,12 +63,13 @@ from .polyring import (
     QQ,
     Ring,
     ZZ,
-    content,
     discriminant,
     gcd_int_poly,
+    mul_mod,
     mul_rows,
     reduce_monic,
     resultant,
+    ring_pow,
     xgcd_poly,
 )
 
@@ -112,82 +121,73 @@ class Valuation:
 
 
 class NFElem:
-    """Element num(c0)/den with num reduced mod g, den a positive integer."""
+    """Element num(c0)/den of K, immutable (see the module docstring)."""
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "num", "den", "_inv")
 
-    def __init__(self, field: "NumberField", num: Poly, den: int = 1):
+    def __init__(self, field: "NumberField", num: Sequence[int], den: int = 1):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        if num.degree >= field.degree:
-            num = Poly.make(ZZ, reduce_monic(list(num.coeffs), field.g.coeffs))
-        if num.is_zero:
-            den = 1
-        elif den != 1:
-            shared = gcd(content(num), den)
-            if shared > 1:
-                num = Poly(ZZ, tuple(x // shared for x in num.coeffs))
-                den //= shared
+        num = list(num)
+        if len(num) > field.degree:
+            num = reduce_monic(num, field.g.coeffs)
+        while num and not num[-1]:
+            num.pop()
+        shared = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        if shared != 1:  # zero comes out as ((), 1)
+            num = [x // shared for x in num]
+            den //= shared
         self.field = field
-        self.num = num
+        self.num = tuple(num)
         self.den = den
+        self._inv = None
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num
 
     @property
     def is_integral(self) -> bool:
         return self.den == 1
 
     def __add__(self, other: "NFElem") -> "NFElem":
+        sd, od = self.den, other.den
         return NFElem(
             self.field,
-            self.num.scale(other.den) + other.num.scale(self.den),
-            self.den * other.den,
+            [x * od + y * sd for x, y in zip_longest(self.num, other.num, fillvalue=0)],
+            sd * od,
         )
 
     def __neg__(self) -> "NFElem":
-        return NFElem(self.field, -self.num, self.den)
+        return NFElem(self.field, [-x for x in self.num], self.den)
 
     def __sub__(self, other: "NFElem") -> "NFElem":
         return self + (-other)
 
     def __mul__(self, other: "NFElem") -> "NFElem":
-        return NFElem(self.field, self.num * other.num, self.den * other.den)
+        num = mul_mod(self.num, other.num, self.field.g.coeffs)
+        return NFElem(self.field, num, self.den * other.den)
 
     def inverse(self) -> "NFElem":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        numq = self.num.map_coeffs(QQ, Fraction)
-        gq = self.field.g.map_coeffs(QQ, Fraction)
-        one, s, _ = xgcd_poly(numq, gq)
-        if one.degree != 0:
-            raise ZeroDivisionError("element not invertible (reducible modulus)")
-        inv = s.scale(QQ.div(QQ.one, one.constant_term))
-        lcm_den = 1
-        for cf in inv.coeffs:
-            lcm_den = lcm_den * cf.denominator // gcd(lcm_den, cf.denominator)
-        numz = Poly.make(ZZ, [int(cf * lcm_den) for cf in inv.coeffs])
-        return NFElem(self.field, numz.scale(self.den), lcm_den)
+        if self._inv is None:
+            if self.is_zero:
+                raise ZeroDivisionError("inverse of zero")
+            numq = Poly(QQ, tuple(map(Fraction, self.num)))
+            gq = self.field.g.map_coeffs(QQ, Fraction)
+            one, s, _ = xgcd_poly(numq, gq)
+            if one.degree != 0:
+                raise ZeroDivisionError("element not invertible (reducible modulus)")
+            inv = s.scale(QQ.div(QQ.one, one.constant_term))
+            den = lcm(*(cf.denominator for cf in inv.coeffs))
+            num = [int(cf * den) * self.den for cf in inv.coeffs]
+            self._inv = NFElem(self.field, num, den)
+        return self._inv
 
     def __truediv__(self, other: "NFElem") -> "NFElem":
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "NFElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return ring_pow(self.field, self.inverse() if n < 0 else self, abs(n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -198,12 +198,12 @@ class NFElem:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.num.coeffs, self.den))
+        return hash((id(self.field), self.num, self.den))
 
     def __str__(self):
-        body = self.num.to_string("c")
+        body = Poly(ZZ, self.num).to_string("c")
         if self.den == 1:
-            return body if self.num.degree <= 0 else f"({body})"
+            return body if len(self.num) <= 1 else f"({body})"
         return f"({body})/{self.den}"
 
     def __repr__(self):
@@ -237,8 +237,8 @@ class NumberField(Ring):
             self.irreducibility.diagnose(
                 "irreducibility not certified; field constructed AssumedByUser"
             )
-        self.zero = NFElem(self, Poly.zero(ZZ))
-        self.one = NFElem(self, Poly.one(ZZ))
+        self.zero = NFElem(self, ())
+        self.one = NFElem(self, (1,))
         self._primes_cache: dict[tuple[int, int], tuple] = {}
         # d -> [f^0, f^1, ...] for f = x^d + c0, each f^k packed into one int
         # (see factoring.iterate); ints, not NFElems, so a field kept alive
@@ -260,20 +260,17 @@ class NumberField(Ring):
         rows_a, den_a = self._rows(a)
         rows_b, den_b = (rows_a, den_a) if b is a else self._rows(b)
         den = den_a * den_b
-        return [
-            NFElem(self, Poly.make(ZZ, row), den)
-            for row in mul_rows(rows_a, rows_b, self.g.coeffs)
-        ]
+        return [NFElem(self, row, den) for row in mul_rows(rows_a, rows_b, self.g.coeffs)]
 
     @staticmethod
     def _rows(coeffs: tuple) -> tuple[list[list[int]], int]:
         """Numerators of ``coeffs`` over their least common denominator."""
         den = lcm(*(c.den for c in coeffs))
-        return [[x * (den // c.den) for x in c.num.coeffs] for c in coeffs], den
+        return [[x * (den // c.den) for x in c.num] for c in coeffs], den
 
     def poly_from_rows(self, rows, den: int = 1) -> Poly:
         """The polynomial over K with coefficients row / den, rows of ints."""
-        return Poly.make(self, [NFElem(self, Poly.make(ZZ, row), den) for row in rows])
+        return Poly.make(self, [NFElem(self, row, den) for row in rows])
 
     def div(self, a: NFElem, b: NFElem) -> NFElem:
         return a / b
@@ -282,21 +279,18 @@ class NumberField(Ring):
         return a.is_zero
 
     def from_int(self, n: int) -> NFElem:
-        return NFElem(self, Poly.from_ints(ZZ, [n]))
-
-    def coeff_repr(self, a: NFElem) -> str:
-        return str(a)
+        return NFElem(self, (n,))
 
     # field-specific constructors
     def gen(self) -> NFElem:
         """The class of c (a root of g)."""
-        return NFElem(self, Poly.x(ZZ))
+        return NFElem(self, (0, 1))
 
-    def element(self, num_coeffs, den: int = 1) -> NFElem:
-        return NFElem(self, Poly.from_ints(ZZ, list(num_coeffs)), den)
+    def element(self, num, den: int = 1) -> NFElem:
+        return NFElem(self, num, den)
 
     def from_rational(self, q: Fraction) -> NFElem:
-        return NFElem(self, Poly.from_ints(ZZ, [q.numerator]), q.denominator)
+        return NFElem(self, (q.numerator,), q.denominator)
 
     def __repr__(self):
         return f"NumberField({self.g.to_string('c')})"
@@ -464,7 +458,7 @@ def nf_norm(x: NFElem) -> Fraction:
     K = x.field
     if x.is_zero:
         return Fraction(0)
-    res = resultant(K.g, x.num)
+    res = resultant(K.g, Poly(ZZ, x.num))
     return Fraction(res, x.den**K.degree)
 
 
@@ -647,15 +641,15 @@ def valuation(x: NFElem, P: PrimeAboveD) -> Valuation:
         return Valuation.infinity()
     p = P.p
     if P.backend == "B":
-        num = x.num
+        row = x.num
         if P.gen_shift:
-            num = num.compose(Poly.from_ints(ZZ, [P.gen_shift, 1]))
-        v = row_valuation(num.coeffs, P)
+            row = Poly(ZZ, row).compose(Poly.from_ints(ZZ, [P.gen_shift, 1])).coeffs
+        v = row_valuation(row, P)
         return Valuation.of(v - P.ramification * _int_val(x.den, p))
     # backend A
     shift = _int_val(x.den, p)
     v = row_valuation(
-        reduce_monic(list(x.num.coeffs), P.lifted_factor.coeffs, p**P.T), P
+        reduce_monic(list(x.num), P.lifted_factor.coeffs, p**P.T), P
     )
     if v is None:
         return Valuation.at_least(P.T - shift)

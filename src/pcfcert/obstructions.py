@@ -42,7 +42,7 @@ from .numfield import (
     valuation,
 )
 from .orbits import DEFAULT_DEGREE_BUDGET, ExactType, exact_type, orbit_value
-from .polyring import ZZ, Poly, discriminant, resultant
+from .polyring import Poly, discriminant, resultant
 
 DEFAULT_ORACLE_LIMIT = 4
 
@@ -141,6 +141,11 @@ def relative_norm(h: Poly, P: Poly) -> NFElem:
 
 # -- square-class refutation --------------------------------------------------
 
+
+def _elem_data(x: NFElem) -> dict:
+    return {"num": list(x.num), "den": x.den}
+
+
 _AUX_PRIMES = (2, 3, 5, 7, 11, 13)
 _MAX_PRECISION = 64
 
@@ -188,7 +193,7 @@ def nonsquare_certificate(
                     prime_index=idx,
                     backend=P.backend,
                     valuation=v.value,
-                    element={"num": list(beta.num.coeffs), "den": beta.den},
+                    element=_elem_data(beta),
                 )
                 return cert
             tried.append(f"p={p}#{idx}:v={v}")
@@ -223,6 +228,8 @@ def ideal_power_audit(
 ) -> IdealAudit:
     if typ.kind != "preperiodic":
         raise ValueError("ideal_power_audit applies to preperiodic parameters")
+    if i < 1:
+        raise ValueError(f"ideal_power_audit requires i >= 1, got {i}")
     m, n = typ.m, typ.n
     a_div = d ** (m - 1) * (d - 1)
     a_nondiv = (d ** (m - 1) - 1) * (d - 1)
@@ -280,10 +287,6 @@ def ideal_power_audit(
 
 
 # -- case drivers -------------------------------------------------------------
-
-
-def _elem_data(x: NFElem) -> dict:
-    return {"num": list(x.num.coeffs), "den": x.den}
 
 
 # (ok, need) arguments of prime_with_valuation for the case hypotheses
@@ -675,27 +678,24 @@ def replay_certificate(cert: Certificate, fieldK: NumberField) -> bool:
     Only recorded steps are replayed (no fresh search); any recomputed value
     disagreeing with its record fails the replay.
     """
-    def rebuild(data: dict) -> NFElem:
-        return NFElem(fieldK, Poly.make(ZZ, data["num"]), data["den"])
-
     for w in cert.witnesses:
         step = w["step"]
+        x = fieldK.element(**w["element"]) if "element" in w else None
         if step == "odd-valuation":
-            _, v = _exact_valuation(fieldK, rebuild(w["element"]), w["p"], w["prime_index"])
+            _, v = _exact_valuation(fieldK, x, w["p"], w["prime_index"])
             if not (v.exact and v.value == w["valuation"] and v.value % 2 == 1):
                 return False
         elif step == "unit-norm":
-            x = rebuild(w["element"])
             if not (x.is_integral and is_unit(x)):
                 return False
         elif step == "hypothesis-valuation":
             P = primes_above(fieldK, w["p"])[w["prime_index"]]
-            v = valuation(rebuild(w["element"]), P)
+            v = valuation(x, P)
             if str(v) != str(w["valuation"]) and v.value != w["valuation"]:
                 return False
         elif step == "orbit-valuation":
             P = primes_above(fieldK, w["p"])[0]
-            v = valuation(rebuild(w["element"]), P)
+            v = valuation(x, P)
             if not (v.exact and v.value == w["valuation"]):
                 return False
     return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .polyring import BudgetExceeded, Poly, Ring, ZZ, mobius, reduce_monic, resultant
+from .polyring import BudgetExceeded, Poly, Ring, ZZ, mobius, mul_mod, resultant
 from .numfield import NFElem, NumberField
 
 DEFAULT_DEGREE_BUDGET = 4096
@@ -46,12 +46,7 @@ class CyclotomicIntegers(Ring):
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        out = [0] * (2 * self.width - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return tuple(reduce_monic(out, self._phi))
+        return tuple(mul_mod(a, b, self._phi))
 
     def div(self, a, b):
         raise NotImplementedError("no coefficient division in Z[zeta]")
@@ -258,7 +253,7 @@ def exact_type(fieldK: NumberField, d: int, bound: int = 64) -> ExactType:
     """
     c0 = fieldK.gen()
     orbit: list[NFElem] = []
-    seen: dict = {}
+    seen: dict[NFElem, int] = {}
     value = c0
     for i in range(1, bound + 1):
         if value.is_zero:
@@ -266,14 +261,13 @@ def exact_type(fieldK: NumberField, d: int, bound: int = 64) -> ExactType:
             orbit.append(value)
             _verify_periodic(orbit, i)
             return ExactType(kind="periodic", n=i, m=0, witness=tuple(orbit))
-        key = (value.num.coeffs, value.den)
-        if key in seen:
-            m = seen[key]
+        if value in seen:
+            m = seen[value]
             n = i - m
             orbit.append(value)
             _verify_preperiodic(orbit, m, n)
             return ExactType(kind="preperiodic", n=n, m=m, witness=tuple(orbit))
-        seen[key] = i
+        seen[value] = i
         orbit.append(value)
         value = value**d + c0
     raise BoundExceeded(f"no repetition in the first {bound} orbit values")

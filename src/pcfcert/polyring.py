@@ -13,8 +13,9 @@ Python int, does one big-integer product and unpacks the signed slots from
 the product's bytes.  ``mul_rows`` and ``pow_rows`` multiply and power row
 polynomials over Z[c]/(g) or, given a modulus q, over (Z/q)[c]/(g): they
 hold the rows as columns (entry j of every row), so one list operation
-reduces a whole column modulo g and q.  ``reduce_monic`` reduces a single
-element of Z[c]/(g), Z[zeta]/(Phi_d) or F_p[t]/(h).
+reduces a whole column modulo g and q.  An element of Z[c]/(g), Z[zeta]/(Phi_d)
+or F_p[t]/(h) is a row of ints: ``mul_mod`` is their one product (schoolbook,
+then ``reduce_monic``), and ``ring_pow`` the one power in any Ring adapter.
 
 All operations are pure; polynomials are immutable after construction.
 """
@@ -422,6 +423,17 @@ def reduce_monic(coeffs: list, g: Sequence[int], p: int = 0) -> list:
     return [c % p for c in out] if p else out
 
 
+def mul_mod(a: Sequence[int], b: Sequence[int], g: Sequence[int], p: int = 0) -> list:
+    """The product of two elements of Z[c]/(g), or of (Z/p)[c]/(g), given as
+    integer rows in the basis 1, c, ...: deg g entries, in [0, p) for p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return reduce_monic(out, g, p)
+
+
 # -- Kronecker substitution ----------------------------------------------------
 
 
@@ -643,7 +655,7 @@ def resultant(p: Poly, q: Poly):
             sign = -sign
         A, B = B, A
     if B.degree == 0:
-        res = _ring_pow(R, B.constant_term, A.degree)
+        res = ring_pow(R, B.constant_term, A.degree)
         return R.neg(res) if sign < 0 else res
     g = R.one
     h = R.one
@@ -653,22 +665,23 @@ def resultant(p: Poly, q: Poly):
             sign = -sign
         Rm = _pseudo_rem(A, B)
         A = B
-        denom = R.mul(g, _ring_pow(R, h, delta))
+        denom = R.mul(g, ring_pow(R, h, delta))
         B = Poly.make(R, [R.div(c, denom) for c in Rm.coeffs])
         g = A.lc
         if delta > 0:
             # h = g^delta / h^(delta-1), exact
-            h = R.div(_ring_pow(R, g, delta), _ring_pow(R, h, delta - 1))
+            h = R.div(ring_pow(R, g, delta), ring_pow(R, h, delta - 1))
         if B.is_zero:
             return R.zero
         if B.degree == 0:
             break
     # h' = lc(B)^(deg A) / h^(deg A - 1)
-    res = R.div(_ring_pow(R, B.constant_term, A.degree), _ring_pow(R, h, A.degree - 1))
+    res = R.div(ring_pow(R, B.constant_term, A.degree), ring_pow(R, h, A.degree - 1))
     return R.neg(res) if sign < 0 else res
 
 
-def _ring_pow(R: Ring, a, n: int):
+def ring_pow(R: Ring, a, n: int):
+    """a^n for n >= 0 in the ring R, by square-and-multiply."""
     result = R.one
     base = a
     while n:

@@ -235,6 +235,40 @@ class TestErrors:
         code, _, _ = run_cli(capsys, "exact-type", "--d", "2", "--field", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"h": 1},
+            [1, 2],
+            {"g": 5},
+            {"g": {"coeffs": [1.9, 1]}},
+            {"g": {"coeffs": "11"}},
+            {"g": {"coeffs": [True, 0, 1]}},
+            {"g": {"coeffs": ["1", "1.5", "1"]}},
+        ],
+    )
+    def test_malformed_field_file_exit_3(self, capsys, tmp_path, data):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "exact-type", "--d", "2", "--field", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_field_file_integer_coefficients(self, capsys, tmp_path):
+        # JSON ints and decimal-integer strings, as jsonio writes them
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"g": {"coeffs": [1, "1", 2, "1"]}}))
+        code, out, _ = run_cli(capsys, "exact-type", "--d", "2", "--field", str(path))
+        assert code == 0 and out == "Periodic(3)\n"
+
+    @pytest.mark.parametrize("i", ["0", "-1"])
+    def test_ideal_audit_index_below_one_exit_3(self, capsys, i):
+        code, out, err = run_cli(
+            capsys, "ideal-audit", "--d", "2", "--misiurewicz", "2,1", "--i", i
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: ideal_power_audit requires i >= 1, got {i}\n"
+
 
 class TestReach:
     """Stability certificates at iterate degrees 4096 and 65536."""

@@ -106,7 +106,7 @@ class TestStructuralForm:
         form = structural_form(K32, 3, 3, typ)
         for cf in form.middle.coeffs:
             if not cf.is_zero:
-                assert all(x % 3 == 0 for x in cf.num.coeffs)
+                assert all(x % 3 == 0 for x in cf.num)
 
     def test_preperiodic_unit_residual(self):
         typ = exact_type(KM21, 2)
@@ -349,7 +349,7 @@ DEEP_FIELDS = [
 def residue_image(x, P):
     """The image of an integral x in the residue ring of P, by definition."""
     G, _, q = residue_ring(P)
-    num = x.num.compose(Poly.from_ints(ZZ, [P.gen_shift, 1]))
+    num = Poly(ZZ, x.num).compose(Poly.from_ints(ZZ, [P.gen_shift, 1]))
     return reduce_monic(list(num.coeffs), G, q)
 
 

@@ -1,9 +1,10 @@
 """Number field arithmetic, valuations, and irreducibility certification."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcfcert import numfield
@@ -27,7 +28,7 @@ from pcfcert.numfield import (
     residue_field,
     valuation,
 )
-from pcfcert.polyring import Poly, ZZ, _mul
+from pcfcert.polyring import QQ, Poly, ZZ, _mul, xgcd_poly
 
 
 def field(coeffs):
@@ -50,7 +51,7 @@ class TestElements:
     def test_rational_normalization(self):
         K = field([1, 0, 1])
         x = K.from_rational(Fraction(6, 4))
-        assert x.den == 2 and list(x.num.coeffs) == [3]
+        assert x.den == 2 and list(x.num) == [3]
 
     def test_pow_negative(self):
         K = field([1, 0, 1])
@@ -101,6 +102,81 @@ class TestKroneckerMul:
         ):
             assert K.mul_coeffs(a, b) == _mul(K, a, b)
             assert K.mul_coeffs(b, a) == _mul(K, b, a)
+
+
+def as_qq(x):
+    """x as a polynomial over Q in c, the oracle's representation."""
+    return Poly.make(QQ, [Fraction(c, x.den) for c in x.num])
+
+
+def row_invariants(x):
+    K = x.field
+    assert len(x.num) <= K.degree and (not x.num or x.num[-1] != 0)
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert x.num or x.den == 1
+    scaled = K.element([3 * c for c in x.num] + [0], 3 * x.den)  # same value
+    assert scaled == x and hash(scaled) == hash(x)
+
+
+# the fields above and x^3 - 2, whose tail is negative with a zero
+ELEM_FIELDS = MUL_FIELDS + [field([-2, 0, 0, 1])]
+raw_elements = st.tuples(
+    st.lists(st.integers(-(10**6), 10**6), max_size=6), st.integers(-12, 12).filter(bool)
+)
+
+
+class TestElementRow:
+    """NFElem on integer rows against Poly over Q modulo g as the oracle."""
+
+    @given(raw_elements, raw_elements, st.integers(-3, 5), st.sampled_from(ELEM_FIELDS))
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @example(([0, 0, 0], 5), ([], -3), -2, MUL_FIELDS[2])
+    @example(([4, -6, 2, 8], -4), ([1, 1], 1), 3, ELEM_FIELDS[-1])
+    def test_operations_match_qq(self, ra, rb, n, K):
+        gq = K.g.map_coeffs(QQ, Fraction)
+
+        def mod_g(poly):
+            return poly.divmod(gq)[1]
+
+        a, b = K.element(*ra), K.element(*rb)
+        A = mod_g(Poly.make(QQ, [Fraction(c, ra[1]) for c in ra[0]]))
+        B = mod_g(Poly.make(QQ, [Fraction(c, rb[1]) for c in rb[0]]))
+        assert as_qq(a) == A and as_qq(b) == B
+        assert as_qq(a + b) == A + B
+        assert as_qq(a - b) == A - B
+        assert as_qq(-a) == -A
+        assert as_qq(a * b) == mod_g(A * B)
+        for x in (a, b, a + b, a - b, -a, a * b):
+            row_invariants(x)
+        if B.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                b.inverse()
+            return
+        one = Poly.one(QQ)
+        assert mod_g(as_qq(b.inverse()) * B) == one
+        assert mod_g(as_qq(a / b) * B) == A
+        power = b**n
+        if n >= 0:
+            assert as_qq(power) == mod_g(B**n)
+        else:
+            assert mod_g(as_qq(power) * B**-n) == one
+        for x in (b.inverse(), a / b, power):
+            row_invariants(x)
+
+    def test_inverse_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(p, q):
+            calls.append(p)
+            return xgcd_poly(p, q)
+
+        monkeypatch.setattr(numfield, "xgcd_poly", counting)
+        K = field([1, 1, 2, 1])
+        c = K.gen()
+        x = c + K.from_rational(Fraction(3, 2))
+        assert x.inverse() is x.inverse() and len(calls) == 1
+        assert (x / c) * c == x and (K.one / c) * c == K.one
+        assert len(calls) == 2
 
 
 class TestNormTrace:

@@ -18,6 +18,7 @@ from pcfcert.polyring import (
     gcd_poly,
     kronecker_mul,
     mobius,
+    mul_mod,
     mul_rows,
     pow_rows,
     primitive_part,
@@ -206,6 +207,24 @@ class TestMulRows:
         for _ in range(e - 1):
             expected = per_row_mul(expected, a, g, q)
         assert pow_rows(a, e, g, q) == expected
+
+
+class TestMulMod:
+    """The element product against reduce_monic of the product over Z."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        st.lists(big_ints, max_size=8),
+        st.lists(big_ints, max_size=8),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(lambda t: t + [1]),
+        st.sampled_from([0, 2, 3, 27]),
+    )
+    @example([], [], [5, 1], 0)
+    @example([3, 0, -2, 0], [-1, 4], [-2, 0, 0, 1], 27)
+    @example([2**100, -1], [-(2**90), 0, 7], [0, -1, 0, 0, 0, 0, 1], 2)
+    def test_matches_poly_product(self, a, b, g, p):
+        product = Poly.make(ZZ, a) * Poly.make(ZZ, b)
+        assert mul_mod(a, b, g, p) == reduce_monic(list(product.coeffs), g, p)
 
 
 class TestGcd:
