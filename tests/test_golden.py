@@ -69,6 +69,8 @@ COMMANDS = [
     "disc-check --d 2 --misiurewicz 2,1 --x0 2*c-1 --k 4" + J,
     "disc-check --d 3 --gleason-n 2 --x0 c+4 --k 4" + J,
     "disc-check --d 3 --gleason-n 2 --x0 1/2 --k 2",
+    "disc-check --d 3 --misiurewicz 2,1 --x0 3 --k 4" + J,
+    "disc-check --d 2 --gleason-n 4 --x0 2*c+3 --k 4" + J,
     # ideal-power audits
     "ideal-audit --d 2 --misiurewicz 2,1 --i 1" + J,
     "ideal-audit --d 2 --misiurewicz 2,2 --i 2" + J,
