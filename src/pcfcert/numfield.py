@@ -2,16 +2,17 @@
 
 An element of K (NFElem) is an integer row ``num``, its coordinates in 1, c,
 ..., c^(m-1) with no trailing zeros, over a positive ``den``, in lowest terms
-(zero is ((), 1)).  Products are polyring.mul_mod, powers polyring.ring_pow;
-an element keeps its inverse once computed (a resultant divides many
-coefficients by one element).
+(zero is ((), 1)).  Products are polyring.mul_mod, powers polyring.ring_pow,
+and inverses polyring.inverse_mod (an adjugate row over one integer, by
+fraction-free elimination); an element keeps its inverse once computed.
 
 A NumberField doubles as a coefficient-ring adapter for Poly, so polynomials
 over K (iterates of x^d + c, factors of the closed-form factorization) reuse
 the generic dense-polynomial machinery.  Their products take the Kronecker
 path: the coefficient rows over a common denominator are multiplied by one
 big-integer product and reduced modulo g a column at a time
-(polyring.mul_rows).
+(polyring.mul_rows).  Their resultants clear denominators and run the
+subresultant PRS over Z[c]/(g) on the same columns (polyring.resultant_rows).
 
 Valuations at a prime above p come from one of two backends:
 
@@ -60,17 +61,17 @@ from .finitefield import (
 )
 from .polyring import (
     Poly,
-    QQ,
     Ring,
     ZZ,
     discriminant,
     gcd_int_poly,
+    inverse_mod,
     mul_mod,
     mul_rows,
     reduce_monic,
     resultant,
+    resultant_rows,
     ring_pow,
-    xgcd_poly,
 )
 
 
@@ -172,15 +173,10 @@ class NFElem:
         if self._inv is None:
             if self.is_zero:
                 raise ZeroDivisionError("inverse of zero")
-            numq = Poly(QQ, tuple(map(Fraction, self.num)))
-            gq = self.field.g.map_coeffs(QQ, Fraction)
-            one, s, _ = xgcd_poly(numq, gq)
-            if one.degree != 0:
+            adj, n = inverse_mod(self.num, self.field.g.coeffs)
+            if not n:
                 raise ZeroDivisionError("element not invertible (reducible modulus)")
-            inv = s.scale(QQ.div(QQ.one, one.constant_term))
-            den = lcm(*(cf.denominator for cf in inv.coeffs))
-            num = [int(cf * den) * self.den for cf in inv.coeffs]
-            self._inv = NFElem(self.field, num, den)
+            self._inv = NFElem(self.field, [x * self.den for x in adj], n)
         return self._inv
 
     def __truediv__(self, other: "NFElem") -> "NFElem":
@@ -220,14 +216,8 @@ class NumberField(Ring):
             raise ValueError("defining polynomial must be monic and nonconstant")
         self.g = g
         self.degree = g.degree
-        self.disc_g = discriminant(g) if g.degree >= 1 else 1
-        if g.degree == 1:
-            self.irreducibility = Certificate(
-                claim=f"irreducible({g.to_string('c')})", verdict=Verdict.VERIFIED
-            )
-            self.irreducibility.witness("linear", degree=1)
-        else:
-            self.irreducibility = irreducibility_certificate(g)
+        self.disc_g = discriminant(g)
+        self.irreducibility = irreducibility_certificate(g, disc=self.disc_g)
         if self.irreducibility.verdict is Verdict.REFUTED:
             raise Reducible(
                 f"{g.to_string('c')} is reducible: {self.irreducibility.witnesses}"
@@ -271,6 +261,14 @@ class NumberField(Ring):
     def poly_from_rows(self, rows, den: int = 1) -> Poly:
         """The polynomial over K with coefficients row / den, rows of ints."""
         return Poly.make(self, [NFElem(self, row, den) for row in rows])
+
+    def resultant(self, p: Poly, q: Poly) -> NFElem:
+        """Res(p, q) on integer columns (``resultant_rows``), denominators
+        cleared first: Res(A/a, B/b) = Res(A, B) / (a^deg B * b^deg A)."""
+        rows_p, a = self._rows(p.coeffs)
+        rows_q, b = self._rows(q.coeffs)
+        res = resultant_rows(rows_p, rows_q, self.g.coeffs)
+        return NFElem(self, res, a ** max(q.degree, 0) * b ** max(p.degree, 0))
 
     def div(self, a: NFElem, b: NFElem) -> NFElem:
         return a / b
@@ -383,13 +381,15 @@ def _tiny_factor_search(g: Poly, p: int) -> Poly | str | None:
     return None
 
 
-def irreducibility_certificate(g: Poly, max_primes: int = 12) -> Certificate:
+def irreducibility_certificate(
+    g: Poly, max_primes: int = 12, disc: int | None = None
+) -> Certificate:
     """Certify, refute, or give up on irreducibility of monic g over Q.
 
     Certified: a single good prime with g irreducible mod p, or a factor
     degree subset-sum obstruction across several good primes.  Refuted: an
     integer root, a repeated factor, or a factor found by bounded modular
-    recombination at tiny degree.
+    recombination at tiny degree.  ``disc``, when given, is disc(g).
     """
     cert = Certificate(claim=f"irreducible({g.to_string('c')})", verdict=Verdict.INCONCLUSIVE)
     if not g.is_monic():
@@ -408,7 +408,8 @@ def irreducibility_certificate(g: Poly, max_primes: int = 12) -> Certificate:
         cert.verdict = Verdict.REFUTED
         cert.witness("repeated-factor", factor=repeated.to_string("c"))
         return cert
-    disc = discriminant(g)
+    if disc is None:
+        disc = discriminant(g)
     possible = None
     used = []
     for p in SMALL_PRIMES:

@@ -42,7 +42,7 @@ from .numfield import (
     valuation,
 )
 from .orbits import DEFAULT_DEGREE_BUDGET, ExactType, exact_type, orbit_value
-from .polyring import Poly, discriminant, resultant
+from .polyring import BudgetExceeded, Poly, discriminant, resultant
 
 DEFAULT_ORACLE_LIMIT = 4
 
@@ -94,12 +94,16 @@ def disc_iterate(
 ) -> DiscTrace:
     """disc(f^k - x0) by the multiplicative recursion, oracle cross-checked.
 
-    Every step with d^j within the oracle budget is compared against the
-    discriminant computed independently by resultant; any disagreement is
-    fatal (it would mean the sign or the critical multiplicity is wrong).
+    Every step j <= oracle_limit is compared against the discriminant
+    computed independently by resultant; any disagreement is fatal (it would
+    mean the sign or the critical multiplicity is wrong).  The recursion
+    builds d^(d^j) for every j <= k, so d^k above ``budget`` raises
+    BudgetExceeded before any arithmetic, as ``iterate`` does.
     """
     if k < 1:
         raise ValueError("disc_iterate requires k >= 1")
+    if d**k > budget:
+        raise BudgetExceeded(f"deg f^{k} = {d}^{k} exceeds budget {budget}")
     value = fieldK.one
     steps = []
     checked = []

@@ -16,6 +16,13 @@ hold the rows as columns (entry j of every row), so one list operation
 reduces a whole column modulo g and q.  An element of Z[c]/(g), Z[zeta]/(Phi_d)
 or F_p[t]/(h) is a row of ints: ``mul_mod`` is their one product (schoolbook,
 then ``reduce_monic``), and ``ring_pow`` the one power in any Ring adapter.
+``inverse_mod`` inverts an element of Q[c]/(g) without fractions, as an
+adjugate row over one integer (Bareiss elimination).
+
+``resultant`` defers to the ring's ``resultant`` hook.  Its default,
+``prs_resultant``, is the subresultant PRS one ring element at a time; a
+ring of integer rows (a number field) runs ``resultant_rows``, the same PRS
+over Z[c]/(g) on columns, with exact divisions by adjugates.
 
 All operations are pure; polynomials are immutable after construction.
 """
@@ -99,6 +106,10 @@ class Ring:
 
     def coeff_repr(self, a) -> str:
         return str(a)
+
+    def resultant(self, p: "Poly", q: "Poly"):
+        """Resultant of two polynomials over this ring (see ``resultant``)."""
+        return prs_resultant(p, q)
 
 
 class IntegerRing(Ring):
@@ -542,9 +553,16 @@ def kronecker_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 def _mul_columns(a, b, g: Sequence[int], modulus: int) -> tuple[list, int]:
     """``_product`` reduced modulo the monic g (m = deg g), and then into
-    [0, modulus), a whole column at a time: from the top column k down to
-    m, column k - m + j gains -g_j times column k for each nonzero g_j."""
+    [0, modulus), a whole column at a time (``_reduce_columns``): from the
+    top column k down to m, column k - m + j gains -g_j times column k for
+    each nonzero g_j."""
     cols, count = _product(a, b)
+    return _reduce_columns(cols, count, g, modulus), count
+
+
+def _reduce_columns(cols: list, count: int, g: Sequence[int], modulus: int = 0) -> list:
+    """Columns of ``count`` entries reduced modulo the monic g, then into
+    [0, modulus): exactly deg g columns.  ``cols`` is overwritten."""
     m = len(g) - 1
     tail = [(j, -c) for j, c in enumerate(g[:m]) if c]
     for k in range(len(cols) - 1, m - 1, -1):
@@ -552,10 +570,10 @@ def _mul_columns(a, b, g: Sequence[int], modulus: int) -> tuple[list, int]:
         for j, gj in tail:
             i = k - m + j
             cols[i] = [x + gj * t for x, t in zip(cols[i], top)]
-    cols = cols[:m] + [[0] * count] * (m - len(cols))
+    cols = cols[:m] + [[0] * count for _ in range(m - len(cols))]
     if modulus:
         cols = [[x % modulus for x in col] for col in cols]
-    return cols, count
+    return cols
 
 
 def mul_rows(
@@ -636,7 +654,14 @@ def _pseudo_rem(A: Poly, B: Poly) -> Poly:
 
 
 def resultant(p: Poly, q: Poly):
-    """Resultant of p and q as a ring element, via the subresultant PRS.
+    """Resultant of p and q as an element of their ring, by the ring's
+    ``resultant`` hook: ``prs_resultant`` unless the ring has its own."""
+    return p.ring.resultant(p, q)
+
+
+def prs_resultant(p: Poly, q: Poly):
+    """Resultant of p and q as a ring element, via the subresultant PRS
+    (Brown and Traub), one ring element at a time.
 
     Exact over any integral domain whose adapter implements exact division
     (the intermediate divisions are exact by the subresultant theory).
@@ -677,6 +702,177 @@ def resultant(p: Poly, q: Poly):
             break
     # h' = lc(B)^(deg A) / h^(deg A - 1)
     res = R.div(ring_pow(R, B.constant_term, A.degree), ring_pow(R, h, A.degree - 1))
+    return R.neg(res) if sign < 0 else res
+
+
+# -- resultants over Z[c]/(g) on columns -----------------------------------------
+
+
+def inverse_mod(a: Sequence[int], g: Sequence[int]) -> tuple[list[int], int]:
+    """(adj, n) with a * adj = n modulo the monic integer g, for a row a of at
+    most deg g ints: n > 0 and gcd(n, adj) = 1, so adj / n is the inverse of
+    a in Q[c]/(g); n = 0 when a is zero or a zero divisor modulo g.
+
+    Fraction-free (Bareiss) elimination on the multiplication matrix M of a,
+    whose column j is c^j a mod g, solves M x = D e_0 with D = +-det M; every
+    entry stays an integer and every division is exact.
+    """
+    m = len(g) - 1
+    col = list(a) + [0] * (m - len(a))
+    cols = []
+    for _ in range(m):
+        cols.append(col)
+        col = reduce_monic([0] + col, g)
+    rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*cols))]  # [M | e_0]
+    prev = 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if rows[r][k]), None)
+        if pivot is None:
+            return [0] * m, 0
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        p = top[k]
+        for i in range(k + 1, m):
+            row, f = rows[i], rows[i][k]
+            rest = zip(row[k + 1 :], top[k + 1 :])
+            rows[i] = [0] * (k + 1) + [(p * x - f * y) // prev for x, y in rest]
+        prev = p
+    x = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = rows[i]
+        x[i] = (prev * row[m] - sum(row[j] * x[j] for j in range(i + 1, m))) // row[i]
+    shared = gcd(prev, *x) if prev > 0 else -gcd(prev, *x)
+    return [v // shared for v in x], prev // shared
+
+
+def _row_columns(rows, m: int) -> list:
+    """Rows of at most m ints, a polynomial over Z[c]/(g), as m columns."""
+    cols, count = _columns(rows)
+    return _trim(cols + [(0,) * count] * (m - len(cols)))
+
+
+def _trim(cols: list) -> list:
+    """Columns without the top coefficients that are zero."""
+    n = len(cols[0])
+    while n and not any(col[n - 1] for col in cols):
+        n -= 1
+    return cols if n == len(cols[0]) else [col[:n] for col in cols]
+
+
+def _lead(cols: list) -> list:
+    return [col[-1] for col in cols]
+
+
+def _times(e: Sequence[int], cols: list) -> list:
+    """The row e times the polynomial in columns, not reduced modulo g:
+    len(e) + len(cols) - 1 new columns."""
+    out = [[0] * len(cols[0]) for _ in range(len(e) + len(cols) - 1)]
+    for i, x in enumerate(e):
+        if x:
+            for j, col in enumerate(cols, i):
+                out[j] = [u + x * v for u, v in zip(out[j], col)]
+    return out
+
+
+def _div_columns(cols: list, b: Sequence[int], g: Sequence[int]) -> list:
+    """The polynomial in columns divided exactly by the element b of
+    Z[c]/(g): times the adjugate of b (``inverse_mod``), then every entry
+    over one integer.  NotDivisible on a nonzero remainder."""
+    adj, n = inverse_mod(b, g)
+    if not n:
+        raise ZeroDivisionError("division by zero or a zero divisor modulo g")
+    out = _reduce_columns(_times(adj, cols), len(cols[0]), g)
+    if n == 1:
+        return out
+    quotients = []
+    for col in out:
+        qr = [divmod(x, n) for x in col]
+        if any(r for _, r in qr):
+            raise NotDivisible(f"not divisible by {list(b)} in Z[c]/(g)")
+        quotients.append([q for q, _ in qr])
+    return quotients
+
+
+class _RowQuotient(Ring):
+    """Z[c]/(g) on rows of deg g ints: the scalars of ``resultant_rows``."""
+
+    def __init__(self, g: Sequence[int]):
+        self.g = g
+        self.zero = [0] * (len(g) - 1)
+        self.one = [1] + self.zero[1:]
+
+    def neg(self, a):
+        return [-x for x in a]
+
+    def mul(self, a, b):
+        return mul_mod(a, b, self.g)
+
+    def div(self, a, b):
+        if b == self.one:
+            return a
+        return [x for (x,) in _div_columns([[x] for x in a], b, self.g)]
+
+
+def _prem_columns(A: list, B: list, R: _RowQuotient) -> list:
+    """``_pseudo_rem`` on polynomials in columns over R = Z[c]/(g)."""
+    d = _lead(B)
+    nb = len(B[0]) - 1
+    rem = A
+    for left in range(len(A[0]) - nb, 0, -1):
+        k = len(rem[0]) - 1 - nb
+        if k < 0:
+            return _reduce_columns(_times(ring_pow(R, d, left), rem), len(rem[0]), R.g)
+        S = _times(d, rem)
+        for s, t in zip(S, _times(_lead(rem), B)):
+            s[k:] = [x - y for x, y in zip(s[k:], t)]
+            s.pop()  # d lc(rem) - lc(rem) d = 0 before any reduction
+        rem = _trim(_reduce_columns(S, len(S[0]), R.g))
+    return rem
+
+
+def resultant_rows(a: list, b: list, g: Sequence[int]) -> list[int]:
+    """Res(A, B) in Z[c]/(g), for polynomials A and B over Z[c]/(g) given as
+    integer rows of at most deg g entries: a row of deg g entries.
+
+    The subresultant PRS of ``prs_resultant``, step for step, on columns
+    (entry j of every coefficient, as in ``mul_rows``): scaling by an element
+    and subtracting r x^k B are a few list operations per column, reduced
+    modulo g a column at a time, and each exact division multiplies by the
+    divisor's adjugate and divides every entry by one integer.
+    """
+    R = _RowQuotient(g)
+    m = len(R.one)
+    A, B = _row_columns(a, m), _row_columns(b, m)
+    na, nb = len(A[0]) - 1, len(B[0]) - 1
+    if na < 0 or nb < 0:
+        return R.one if na <= 0 and nb <= 0 else R.zero
+    if na == 0 and nb == 0:
+        return R.one
+    sign = 1
+    if na < nb:
+        if na % 2 and nb % 2:
+            sign = -sign
+        A, B, na, nb = B, A, nb, na
+    if nb == 0:
+        res = ring_pow(R, _lead(B), na)
+        return R.neg(res) if sign < 0 else res
+    s = h = R.one
+    while True:
+        delta = na - nb
+        if na % 2 and nb % 2:
+            sign = -sign
+        rem = _prem_columns(A, B, R)
+        A, na = B, nb
+        B = _trim(_div_columns(rem, R.mul(s, ring_pow(R, h, delta)), g))
+        nb = len(B[0]) - 1
+        s = _lead(A)
+        if delta > 0:
+            h = R.div(ring_pow(R, s, delta), ring_pow(R, h, delta - 1))
+        if nb < 0:
+            return R.zero
+        if nb == 0:
+            break
+    res = R.div(ring_pow(R, _lead(B), na), ring_pow(R, h, na - 1))
     return R.neg(res) if sign < 0 else res
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -146,6 +147,16 @@ class TestErrors:
             "--budget", "1024",
         )
         assert code == 4
+
+    def test_disc_check_budget_exit_4(self, capsys):
+        # d^k = 2^40 exceeds the default budget: refused before any arithmetic
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "disc-check", "--d", "2", "--gleason-n", "2", "--x0", "3", "--k", "40"
+        )
+        assert code == 4 and out == ""
+        assert "deg f^40 = 2^40 exceeds budget 4096" in err
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "argv",

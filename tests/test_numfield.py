@@ -28,7 +28,18 @@ from pcfcert.numfield import (
     residue_field,
     valuation,
 )
-from pcfcert.polyring import QQ, Poly, ZZ, _mul, xgcd_poly
+from pcfcert.factoring import iterate
+from pcfcert.orbits import gleason, misiurewicz
+from pcfcert.polyring import (
+    QQ,
+    Poly,
+    ZZ,
+    _mul,
+    discriminant,
+    inverse_mod,
+    prs_resultant,
+    xgcd_poly,
+)
 
 
 def field(coeffs):
@@ -166,17 +177,114 @@ class TestElementRow:
     def test_inverse_computed_once(self, monkeypatch):
         calls = []
 
-        def counting(p, q):
-            calls.append(p)
-            return xgcd_poly(p, q)
+        def counting(a, g):
+            calls.append(a)
+            return inverse_mod(a, g)
 
-        monkeypatch.setattr(numfield, "xgcd_poly", counting)
+        monkeypatch.setattr(numfield, "inverse_mod", counting)
         K = field([1, 1, 2, 1])
         c = K.gen()
         x = c + K.from_rational(Fraction(3, 2))
         assert x.inverse() is x.inverse() and len(calls) == 1
         assert (x / c) * c == x and (K.one / c) * c == K.one
         assert len(calls) == 2
+
+
+# deg g = 1, 1, 2, 2, 3, 4, 6: the cert-mix fields, the quartic of
+# --misiurewicz 2,1 at d = 3 and the sextic of --gleason-n 4 at d = 2
+PRS_FIELDS = [
+    nf_new(g)
+    for g in (
+        gleason(2, 2),
+        misiurewicz(2, 2, 1)[1],
+        gleason(3, 2),
+        Poly.from_ints(ZZ, [3, 0, 1]),
+        gleason(2, 3),
+        misiurewicz(3, 2, 1)[1],
+        gleason(2, 4),
+    )
+]
+small_elements = st.tuples(st.lists(st.integers(-40, 40), max_size=6), st.integers(1, 6))
+
+
+@st.composite
+def polys_over(draw, K, max_degree=5):
+    """Polynomials over K, non-monic, with rational and zero coefficients."""
+    coeffs = draw(st.lists(small_elements, max_size=max_degree + 1))
+    return Poly.make(K, [K.element(num, den) for num, den in coeffs])
+
+
+def assert_resultants_match(A, B):
+    """The column PRS (the field's hook) against the NFElem PRS, both orders."""
+    K = A.ring
+    for P, Q in ((A, B), (B, A)):
+        assert K.resultant(P, Q) == prs_resultant(P, Q)
+
+
+class TestColumnResultant:
+    """NumberField.resultant (polyring.resultant_rows) against prs_resultant."""
+
+    @given(st.data(), st.sampled_from(PRS_FIELDS))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_random_operands(self, data, K):
+        assert_resultants_match(data.draw(polys_over(K)), data.draw(polys_over(K)))
+
+    @given(st.data(), st.sampled_from(PRS_FIELDS))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_shared_factor_is_zero(self, data, K):
+        F = data.draw(polys_over(K, 3).filter(lambda p: p.degree >= 1))
+        G = data.draw(polys_over(K, 2).filter(lambda p: not p.is_zero))
+        H = data.draw(polys_over(K, 2).filter(lambda p: not p.is_zero))
+        assert K.resultant(F * G, F * H) == K.zero
+        assert_resultants_match(F * G, F * H)
+
+    @given(st.data(), st.sampled_from(PRS_FIELDS))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_degree_zero_operands(self, data, K):
+        A = data.draw(polys_over(K, 0))
+        assert_resultants_match(A, data.draw(polys_over(K)))
+        assert_resultants_match(A, data.draw(polys_over(K, 0)))
+
+    @given(
+        st.sampled_from(PRS_FIELDS),
+        st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]),
+        small_elements,
+    )
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_iterate_shapes(self, K, dj, x0):
+        """f^j - x0 against its derivative: sparse, with degree gaps."""
+        d, j = dj
+        h = iterate(K, d, j) - Poly.constant(K, K.element(*x0))
+        assert_resultants_match(h, h.derivative())
+
+    def test_large_degree_gaps(self):
+        # d = 3, k = 4 on c^2 + 1: the PRS of f^4 - x0 and its derivative
+        # drops degree by 1, 2, 4, 14, 40, 14, 4
+        K = PRS_FIELDS[2]
+        h = iterate(K, 3, 4) - Poly.constant(K, K.gen() + K.from_int(4))
+        assert_resultants_match(h, h.derivative())
+
+    def test_zero_operands(self):
+        K = PRS_FIELDS[4]
+        zero, one, x = Poly.zero(K), Poly.one(K), Poly.x(K)
+        for A, B in ((zero, zero), (zero, one), (zero, x), (one, x)):
+            assert_resultants_match(A, B)
+
+
+class TestZeroDivisor:
+    def test_reducible_modulus_assumed_irreducible(self):
+        # (c^3 - 2)(c^4 + 1): degree 7, so no certificate either way
+        K = numfield.NumberField(
+            Poly.from_ints(ZZ, [-2, 0, 0, 1]) * Poly.from_ints(ZZ, [1, 0, 0, 0, 1]),
+            assume_irreducible=True,
+        )
+        assert K.assumed
+        c = K.gen()
+        with pytest.raises(ZeroDivisionError):
+            (c**3 - K.from_int(2)).inverse()
+        with pytest.raises(ZeroDivisionError):
+            K.zero.inverse()
+        assert (c * c.inverse()) == K.one
 
 
 class TestNormTrace:
@@ -217,6 +325,19 @@ class TestIrreducibility:
     def test_mod_p_witness(self):
         cert = irreducibility_certificate(Poly.from_ints(ZZ, [1, 1, 2, 1]))
         assert cert.verdict is Verdict.VERIFIED
+
+    def test_field_computes_disc_once(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return discriminant(p)
+
+        monkeypatch.setattr(numfield, "discriminant", counting)
+        g = Poly.from_ints(ZZ, [3, 0, 3, 0, 1])
+        K = nf_new(g)
+        assert len(calls) == 1 and K.disc_g == discriminant(g) == 432
+        assert K.irreducibility.verdict is Verdict.VERIFIED
 
     def test_rootless_product_refuted(self):
         # (x^2+1)(x^2+2): no rational roots, reducible

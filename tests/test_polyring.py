@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, resultants, discriminants."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,10 +13,12 @@ from pcfcert.polyring import (
     Poly,
     QQ,
     ZZ,
+    _div_columns,
     content,
     discriminant,
     gcd_int_poly,
     gcd_poly,
+    inverse_mod,
     kronecker_mul,
     mobius,
     mul_mod,
@@ -225,6 +228,57 @@ class TestMulMod:
     def test_matches_poly_product(self, a, b, g, p):
         product = Poly.make(ZZ, a) * Poly.make(ZZ, b)
         assert mul_mod(a, b, g, p) == reduce_monic(list(product.coeffs), g, p)
+
+
+def xgcd_inverse(a, g):
+    """a^-1 modulo g over Q by the extended Euclidean algorithm (the element
+    inverse before ``inverse_mod``), or None when gcd(a, g) is not 1."""
+    one, s, _ = xgcd_poly(qq_poly(a), qq_poly(g))
+    if one.degree != 0:
+        return None
+    return s.scale(1 / one.constant_term)
+
+
+class TestInverseMod:
+    """Bareiss adjugates against the inverse over Q by xgcd_poly."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(big_ints, max_size=6),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(lambda t: t + [1]),
+    )
+    @example([], [3, 1])  # zero
+    @example([5], [7, 1])  # degree 1
+    @example([-1, 1], [-1, 0, 1])  # c - 1, a zero divisor modulo c^2 - 1
+    @example([0, 0, 2**200], [-2, 0, 0, 1])  # c^2 = 2^(1/3)^2 times a unit
+    def test_matches_xgcd(self, a, g):
+        a = a[: len(g) - 1]
+        adj, n = inverse_mod(a, g)
+        expected = xgcd_inverse(a, g)
+        if expected is None:
+            assert n == 0
+            return
+        assert n > 0 and gcd(n, *adj) == 1 and len(adj) == len(g) - 1
+        assert mul_mod(a, adj, g) == [n] + [0] * (len(g) - 2)
+        assert qq_poly([Fraction(x, n) for x in adj]) == expected
+
+
+class TestExactDivision:
+    def test_forged_inexact_division(self):
+        g = (1, 0, 1)  # Z[i]
+        assert _div_columns([[2, 4], [6, 0]], [2], g) == [[1, 2], [3, 0]]
+        # (1 + i) / 2 is not in Z[i], and neither is x / (1 + i)
+        with pytest.raises(NotDivisible):
+            _div_columns([[1], [1]], [2], g)
+        with pytest.raises(NotDivisible):
+            _div_columns([[0, 1], [0, 0]], [1, 1], g)
+        assert _div_columns([[0, 2], [0, 0]], [1, 1], g) == [[0, 1], [0, -1]]
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            _div_columns([[1]], [], (3, 1))
+        with pytest.raises(ZeroDivisionError):
+            _div_columns([[1], [0]], [-1, 1], (-1, 0, 1))
 
 
 class TestGcd:
