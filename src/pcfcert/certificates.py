@@ -20,6 +20,13 @@ class Unsupported(Exception):
     """No implemented backend applies (e.g. ramification undetermined)."""
 
 
+class OracleMismatch(Exception):
+    """An exact identity re-checked after a computation does not hold: the
+    discriminant recursion against the resultant oracle, an assembled
+    parameter polynomial, a norm form, a Hensel lift or an orbit-type
+    witness."""
+
+
 @dataclass
 class Certificate:
     """Verdict for one claim, with the evidence needed to replay it.

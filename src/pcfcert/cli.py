@@ -17,7 +17,7 @@ from functools import cache
 from math import isqrt
 
 from . import jsonio
-from .certificates import HypothesisUnmet, Unsupported, Verdict
+from .certificates import HypothesisUnmet, OracleMismatch, Unsupported, Verdict
 from .factoring import (
     NotUnit,
     ShapeViolation,
@@ -30,7 +30,6 @@ from .factoring import (
 from .numfield import NFElem, NotIntegral, Reducible, nf_new
 from .obstructions import (
     CASES,
-    OracleMismatch,
     disc_iterate,
     ideal_power_audit,
     nonabelian_certificate,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .certificates import OracleMismatch
 from .polyring import Poly, Ring, ZZ, gcd_poly, mul_mod, ring_pow, xgcd_poly
 
 DEFAULT_SEED = 1
@@ -373,7 +374,7 @@ def _lift_pair(g: Poly, u: Poly, v: Poly, p: int, T: int) -> tuple[Poly, Poly]:
         v = _reduce_mod(v + Poly.make(ZZ, [c * pk for c in dv.coeffs]), pk * p)
         pk *= p
         if any(c % pk for c in (g - u * v).coeffs):
-            raise AssertionError("Hensel step failed")
+            raise OracleMismatch("Hensel step failed")
     return u, v
 
 
@@ -428,5 +429,5 @@ def hensel_lift(
     for f_ in lifted:
         check = _reduce_mod(check * f_, p**T)
     if check != _reduce_mod(g, p**T):
-        raise AssertionError("Hensel lift verification failed")
+        raise OracleMismatch("Hensel lift verification failed")
     return LiftedFactorization(p=p, T=T, factors=tuple(lifted))

@@ -12,7 +12,8 @@ the generic dense-polynomial machinery.  Their products take the Kronecker
 path: the coefficient rows over a common denominator are multiplied by one
 big-integer product and reduced modulo g a column at a time
 (polyring.mul_rows).  Their resultants clear denominators and run the
-subresultant PRS over Z[c]/(g) on the same columns (polyring.resultant_rows).
+subresultant PRS over Z[c]/(g) on the same columns (polyring.resultant_rows),
+the one PRS, which also gives disc g and the norms over Z = Z[c]/(c).
 
 Valuations at a prime above p come from one of two backends:
 

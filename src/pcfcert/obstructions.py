@@ -27,7 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
+from .certificates import (
+    Certificate,
+    HypothesisUnmet,
+    OracleMismatch,
+    Unsupported,
+    Verdict,
+)
 from .factoring import iterate, stability_certificate
 from .numfield import (
     DEFAULT_PRECISION,
@@ -54,10 +60,6 @@ CASES = (
     "preperiodic-1",  # d = 2, n >= 3, v(alpha) >= 2
     "preperiodic-2",  # d > 2, v(alpha) >= 2 (discriminant-parity route)
 )
-
-
-class OracleMismatch(Exception):
-    """The discriminant recursion disagrees with the resultant oracle."""
 
 
 # -- discriminant recursion ---------------------------------------------------

@@ -5,14 +5,29 @@ parameters are cut out by the Mobius-alternating product of the a_k over
 divisors of n; strictly preperiodic parameters of type (m, n) by the
 analogous product of a_{m+k-1} - zeta*a_{m-1} with coefficients in the
 cyclotomic integers Z[zeta_d].  zeta is always the canonical class of z in
-Z[z]/(1 + z + ... + z^(d-1)); no complex embedding is ever chosen.
+Z[z]/(1 + z + ... + z^(d-1)); no complex embedding is ever chosen.  The
+rational norm form of such a product is the product of its d - 1 conjugates
+under zeta -> zeta^a, taken with polyring.mul_rows over Z[zeta].
+
+Every construction re-checks its defining identity, and a failed check
+raises OracleMismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .polyring import BudgetExceeded, Poly, Ring, ZZ, mobius, mul_mod, resultant
+from .certificates import OracleMismatch
+from .polyring import (
+    BudgetExceeded,
+    Poly,
+    Ring,
+    ZZ,
+    mobius,
+    mul_mod,
+    mul_rows,
+    reduce_monic,
+)
 from .numfield import NFElem, NumberField
 
 DEFAULT_DEGREE_BUDGET = 4096
@@ -76,34 +91,6 @@ class CyclotomicIntegers(Ring):
         return hash(("cyc", self.d))
 
 
-class _PolyCoeffRing(Ring):
-    """Polynomials over ZZ viewed as a coefficient ring (for Res_z)."""
-
-    zero = Poly.zero(ZZ)
-    one = Poly.one(ZZ)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a.exact_div(b)
-
-    def is_zero(self, a):
-        return a.is_zero
-
-    def from_int(self, n):
-        return Poly.from_ints(ZZ, [n])
-
-
-_POLY_COEFFS = _PolyCoeffRing()
-
-
 @dataclass
 class OrbitSeq:
     """Append-only cache of the critical-orbit polynomials a_i(c) in Z[c]."""
@@ -165,7 +152,7 @@ def gleason(d: int, n: int, budget: int = DEFAULT_DEGREE_BUDGET) -> Poly:
             denom = denom * seq.a(k)
     result = numer.exact_div(denom)
     if result * denom != numer:
-        raise AssertionError("Gleason assembly identity failed")
+        raise OracleMismatch("Gleason assembly identity failed")
     return result
 
 
@@ -207,23 +194,34 @@ def misiurewicz(
                 numer = numer * ak
     cyc = numer.exact_div(denom)
     if cyc * denom != numer:
-        raise AssertionError("Misiurewicz assembly identity failed")
+        raise OracleMismatch("Misiurewicz assembly identity failed")
     return cyc, norm_form(cyc)
 
 
 def norm_form(cyc: Poly) -> Poly:
-    """Res_z(Phi_d(z), p) for p over CyclotomicIntegers(d), in Z[c]."""
+    """Res_z(Phi_d(z), cyc) for cyc over CyclotomicIntegers(d), in Z[c].
+
+    Phi_d is monic with roots zeta^a, a = 1 .. d-1, so the resultant is the
+    product of the conjugates sigma_a(cyc), where sigma_a sends zeta^j to
+    zeta^(aj mod d).  That product lies in Z[c]: a nonzero zeta-entry above
+    the constant raises OracleMismatch.
+    """
     R: CyclotomicIntegers = cyc.ring
     d = R.d
-    if d == 2:
+    if d == 2 or cyc.is_zero:
         return Poly.make(ZZ, [a[0] for a in cyc.coeffs])
-    # rewrite as a polynomial in z with Z[c] coefficients
-    z_coeffs = []
-    for j in range(R.width):
-        z_coeffs.append(Poly.make(ZZ, [cyc.coeff(i)[j] for i in range(cyc.degree + 1)]))
-    B = Poly.make(_POLY_COEFFS, z_coeffs)
-    Phi = Poly.make(_POLY_COEFFS, [_POLY_COEFFS.one] * d)
-    return resultant(Phi, B)
+    rows = norm = [list(a) for a in cyc.coeffs]
+    for a in range(2, d):
+        conjugate = []
+        for row in rows:
+            spread = [0] * d
+            for j, x in enumerate(row):
+                spread[a * j % d] = x
+            conjugate.append(reduce_monic(spread, R._phi))
+        norm = mul_rows(norm, conjugate, R._phi)
+    if any(any(row[1:]) for row in norm):
+        raise OracleMismatch("norm form has a coefficient outside Z")
+    return Poly.make(ZZ, [row[0] for row in norm])
 
 
 @dataclass(frozen=True)
@@ -275,23 +273,23 @@ def exact_type(fieldK: NumberField, d: int, bound: int = 64) -> ExactType:
 
 def _verify_periodic(orbit, n):
     if not orbit[n - 1].is_zero:
-        raise AssertionError(f"a_{n} is not zero")
+        raise OracleMismatch(f"a_{n} is not zero")
     for k in range(n - 1):
         if orbit[k].is_zero:
-            raise AssertionError("period not minimal")
+            raise OracleMismatch("period not minimal")
 
 
 def _verify_preperiodic(orbit, m, n):
     if m < 2 or n < 1:
-        raise AssertionError(f"detected type ({m},{n}) is not strictly preperiodic")
+        raise OracleMismatch(f"detected type ({m},{n}) is not strictly preperiodic")
     if orbit[m + n - 1] != orbit[m - 1]:
-        raise AssertionError(f"a_{m + n} is not a_{m}")
+        raise OracleMismatch(f"a_{m + n} is not a_{m}")
     if orbit[m + n - 2] == orbit[m - 2]:
-        raise AssertionError("preperiod not minimal")
+        raise OracleMismatch("preperiod not minimal")
     for i in range(m + n - 2):
         for j in range(i + 1, m + n - 1):
             if orbit[i] == orbit[j]:
-                raise AssertionError("earlier repetition missed")
+                raise OracleMismatch("earlier repetition missed")
 
 
 def orbit_value(fieldK: NumberField, d: int, i: int) -> NFElem:

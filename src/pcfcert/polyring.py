@@ -8,7 +8,7 @@ serves Z, Q, finite fields, cyclotomic integers and number fields.
 Products go through the ring's ``mul_coeffs``.  Its default is the generic
 schoolbook/Karatsuba ``_mul`` on ring elements.  A ring whose elements are
 integer rows (a number field Q[c]/(g) over a common denominator) multiplies
-by Kronecker substitution instead: ``kronecker_mul`` packs every row into one
+by Kronecker substitution instead: ``_product`` packs every row into one
 Python int, does one big-integer product and unpacks the signed slots from
 the product's bytes.  ``mul_rows`` and ``pow_rows`` multiply and power row
 polynomials over Z[c]/(g) or, given a modulus q, over (Z/q)[c]/(g): they
@@ -19,10 +19,11 @@ then ``reduce_monic``), and ``ring_pow`` the one power in any Ring adapter.
 ``inverse_mod`` inverts an element of Q[c]/(g) without fractions, as an
 adjugate row over one integer (Bareiss elimination).
 
-``resultant`` defers to the ring's ``resultant`` hook.  Its default,
-``prs_resultant``, is the subresultant PRS one ring element at a time; a
-ring of integer rows (a number field) runs ``resultant_rows``, the same PRS
-over Z[c]/(g) on columns, with exact divisions by adjugates.
+``resultant`` defers to the ring's ``resultant`` hook, and every hook runs
+``resultant_rows``: the one subresultant PRS, over Z[c]/(g) on columns, with
+exact divisions by adjugates.  Z is Z[c]/(c), so a resultant over Z runs it
+on one-entry rows; a number field clears denominators first.  A ring with no
+hook raises TypeError.
 
 All operations are pure; polynomials are immutable after construction.
 """
@@ -109,7 +110,7 @@ class Ring:
 
     def resultant(self, p: "Poly", q: "Poly"):
         """Resultant of two polynomials over this ring (see ``resultant``)."""
-        return prs_resultant(p, q)
+        raise TypeError(f"no resultant over {type(self).__name__}")
 
 
 class IntegerRing(Ring):
@@ -135,6 +136,11 @@ class IntegerRing(Ring):
 
     def from_int(self, n):
         return n
+
+    def resultant(self, p, q):
+        """``resultant_rows`` over Z = Z[c]/(c), on one-entry rows."""
+        rows_p, rows_q = [[x] for x in p.coeffs], [[x] for x in q.coeffs]
+        return resultant_rows(rows_p, rows_q, (0, 1))[0]
 
 
 class RationalField(Ring):
@@ -544,13 +550,6 @@ def _product(a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
     return [flat[j::stride] for j in range(stride)], na + nb - 1
 
 
-def kronecker_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """``_product`` on rows; every row of the result has wa + wb - 1 entries."""
-    ca = _columns(a)
-    cols, _ = _product(ca, ca if b is a else _columns(b))
-    return list(map(list, zip(*cols)))
-
-
 def _mul_columns(a, b, g: Sequence[int], modulus: int) -> tuple[list, int]:
     """``_product`` reduced modulo the monic g (m = deg g), and then into
     [0, modulus), a whole column at a time (``_reduce_columns``): from the
@@ -638,71 +637,10 @@ def xgcd_poly(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     return a.scale(inv_lc), sa.scale(inv_lc), ta.scale(inv_lc)
 
 
-def _pseudo_rem(A: Poly, B: Poly) -> Poly:
-    """prem(A, B) = lc(B)^(deg A - deg B + 1) * A  mod  B, division-free."""
-    R = A.ring
-    d = B.lc
-    delta = A.degree - B.degree
-    rem = A
-    for _ in range(delta + 1):
-        if rem.degree < B.degree:
-            rem = rem.scale(d)
-            continue
-        k = rem.degree - B.degree
-        rem = rem.scale(d) - B.scale(rem.lc).shift(k)
-    return rem
-
-
 def resultant(p: Poly, q: Poly):
     """Resultant of p and q as an element of their ring, by the ring's
-    ``resultant`` hook: ``prs_resultant`` unless the ring has its own."""
+    ``resultant`` hook (``resultant_rows`` over Z and over number fields)."""
     return p.ring.resultant(p, q)
-
-
-def prs_resultant(p: Poly, q: Poly):
-    """Resultant of p and q as a ring element, via the subresultant PRS
-    (Brown and Traub), one ring element at a time.
-
-    Exact over any integral domain whose adapter implements exact division
-    (the intermediate divisions are exact by the subresultant theory).
-    """
-    R = p.ring
-    if p.is_zero or q.is_zero:
-        if p.degree <= 0 and q.degree <= 0:
-            return R.one
-        return R.zero
-    if p.degree == 0 and q.degree == 0:
-        return R.one
-    sign = 1
-    A, B = p, q
-    if A.degree < B.degree:
-        if A.degree % 2 == 1 and B.degree % 2 == 1:
-            sign = -sign
-        A, B = B, A
-    if B.degree == 0:
-        res = ring_pow(R, B.constant_term, A.degree)
-        return R.neg(res) if sign < 0 else res
-    g = R.one
-    h = R.one
-    while True:
-        delta = A.degree - B.degree
-        if A.degree % 2 == 1 and B.degree % 2 == 1:
-            sign = -sign
-        Rm = _pseudo_rem(A, B)
-        A = B
-        denom = R.mul(g, ring_pow(R, h, delta))
-        B = Poly.make(R, [R.div(c, denom) for c in Rm.coeffs])
-        g = A.lc
-        if delta > 0:
-            # h = g^delta / h^(delta-1), exact
-            h = R.div(ring_pow(R, g, delta), ring_pow(R, h, delta - 1))
-        if B.is_zero:
-            return R.zero
-        if B.degree == 0:
-            break
-    # h' = lc(B)^(deg A) / h^(deg A - 1)
-    res = R.div(ring_pow(R, B.constant_term, A.degree), ring_pow(R, h, A.degree - 1))
-    return R.neg(res) if sign < 0 else res
 
 
 # -- resultants over Z[c]/(g) on columns -----------------------------------------
@@ -814,7 +752,8 @@ class _RowQuotient(Ring):
 
 
 def _prem_columns(A: list, B: list, R: _RowQuotient) -> list:
-    """``_pseudo_rem`` on polynomials in columns over R = Z[c]/(g)."""
+    """The pseudo-remainder lc(B)^(deg A - deg B + 1) A mod B, division-free,
+    on polynomials in columns over R = Z[c]/(g)."""
     d = _lead(B)
     nb = len(B[0]) - 1
     rem = A
@@ -834,11 +773,11 @@ def resultant_rows(a: list, b: list, g: Sequence[int]) -> list[int]:
     """Res(A, B) in Z[c]/(g), for polynomials A and B over Z[c]/(g) given as
     integer rows of at most deg g entries: a row of deg g entries.
 
-    The subresultant PRS of ``prs_resultant``, step for step, on columns
-    (entry j of every coefficient, as in ``mul_rows``): scaling by an element
-    and subtracting r x^k B are a few list operations per column, reduced
-    modulo g a column at a time, and each exact division multiplies by the
-    divisor's adjugate and divides every entry by one integer.
+    The subresultant PRS (Brown and Traub) on columns (entry j of every
+    coefficient, as in ``mul_rows``): scaling by an element and subtracting
+    r x^k B are a few list operations per column, reduced modulo g a column
+    at a time, and each exact division multiplies by the divisor's adjugate
+    and divides every entry by one integer.
     """
     R = _RowQuotient(g)
     m = len(R.one)

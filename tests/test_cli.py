@@ -5,11 +5,14 @@ import time
 
 import pytest
 
-from pcfcert import cli
+from pcfcert import cli, finitefield, orbits
 from pcfcert.cli import main, parse_scalar_literal, UsageError
 from pcfcert.factoring import NotUnit, ShapeViolation
 from pcfcert.numfield import NotIntegral, nf_new
-from pcfcert.polyring import NotDivisible, Poly, ZZ
+from pcfcert.polyring import NotDivisible, Poly, ZZ, mul_rows
+
+
+MISMATCH = "refuted (internal oracle mismatch): "
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +223,32 @@ class TestErrors:
         )
         assert got == code and out == ""
         assert err == prefix + "boom\n" and "Traceback" not in err
+
+    def test_failed_norm_form_identity_exit_1(self, capsys, monkeypatch):
+        def skewed(a, b, g):  # a zeta-entry in the conjugate product
+            rows = mul_rows(a, b, g)
+            rows[0][1] += 1
+            return rows
+
+        monkeypatch.setattr(orbits, "mul_rows", skewed)
+        code, out, err = run_cli(capsys, "misiurewicz", "--d", "3", "--m", "2", "--n", "1")
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err == MISMATCH + "norm form has a coefficient outside Z\n"
+
+    def test_failed_hensel_lift_exit_1(self, capsys, monkeypatch):
+        lift = finitefield._lift_list
+
+        def skewed(g, seeds, p, T):
+            lifted = lift(g, seeds, p, T)
+            return [lifted[0] + Poly.make(ZZ, [p])] + lifted[1:]
+
+        monkeypatch.setattr(finitefield, "_lift_list", skewed)
+        code, out, err = run_cli(
+            capsys, "stability-cert", "--d", "2", "--gleason-n", "3",
+            "--alpha", "4", "--kmax", "3",
+        )
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err == MISMATCH + "Hensel lift verification failed\n"
 
     @pytest.mark.parametrize("kmax", ["0", "-3"])
     def test_kmax_below_one_exit_3(self, capsys, kmax):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import prs_resultant
 from pcfcert import numfield
 from pcfcert.certificates import HypothesisUnmet, Unsupported, Verdict
 from pcfcert.finitefield import factor
@@ -37,7 +38,6 @@ from pcfcert.polyring import (
     _mul,
     discriminant,
     inverse_mod,
-    prs_resultant,
     xgcd_poly,
 )
 

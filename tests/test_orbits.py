@@ -1,9 +1,10 @@
 """Critical-orbit polynomials and parameter constructions."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import norm_form_oracle
 from pcfcert.numfield import nf_new
 from pcfcert.orbits import (
     BoundExceeded,
@@ -11,6 +12,7 @@ from pcfcert.orbits import (
     exact_type,
     gleason,
     misiurewicz,
+    norm_form,
     orbit_poly,
     orbit_value,
 )
@@ -86,6 +88,32 @@ class TestMisiurewicz:
     def test_requires_strict_preperiod(self):
         with pytest.raises(ValueError):
             misiurewicz(2, 1, 2)
+
+
+@st.composite
+def cyc_polys(draw):
+    """Random polynomials over Z[zeta_d], d = 3 or 5, the zero one included."""
+    R = CyclotomicIntegers(draw(st.sampled_from([3, 5])))
+    coeff = st.lists(st.integers(-30, 30), min_size=R.width, max_size=R.width)
+    return Poly.make(R, [tuple(c) for c in draw(st.lists(coeff, max_size=6))])
+
+
+class TestNormForm:
+    """The conjugate product against Res_z(Phi_d, .) by ``prs_resultant``."""
+
+    @pytest.mark.parametrize(
+        "d, m, n",
+        [(3, 2, 1), (3, 2, 2), (3, 3, 1), (3, 4, 1), (5, 2, 1), (5, 2, 2), (7, 2, 1)],
+    )
+    def test_misiurewicz(self, d, m, n):
+        cyc, norm = misiurewicz(d, m, n)
+        assert norm == norm_form_oracle(cyc)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(cyc_polys())
+    @example(Poly.make(CyclotomicIntegers(5), [(0, 0, 0, 7)]))  # degree 0 in c
+    def test_random(self, cyc):
+        assert norm_form(cyc) == norm_form_oracle(cyc)
 
 
 class TestExactType:

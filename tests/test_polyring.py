@@ -7,19 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import prs_resultant
 from pcfcert.polyring import (
     NotDivisible,
     PackedRows,
     Poly,
     QQ,
     ZZ,
+    _columns,
     _div_columns,
+    _product,
     content,
     discriminant,
     gcd_int_poly,
     gcd_poly,
     inverse_mod,
-    kronecker_mul,
     mobius,
     mul_mod,
     mul_rows,
@@ -153,12 +155,16 @@ class TestKronecker:
     @given(rows_st, rows_st)
     @settings(max_examples=80)
     def test_product_matches_schoolbook(self, a, b):
-        assert kronecker_mul(a, b) == schoolbook_rows(a, b)
+        cols, count = _product(_columns(a), _columns(b))
+        assert count == len(a) + len(b) - 1
+        assert list(map(list, zip(*cols))) == schoolbook_rows(a, b)
 
     @given(rows_st)
     @settings(max_examples=40)
     def test_square_matches_schoolbook(self, a):
-        assert kronecker_mul(a, a) == schoolbook_rows(a, a)
+        ca = _columns(a)
+        cols, _ = _product(ca, ca)  # one big-int square
+        assert list(map(list, zip(*cols))) == schoolbook_rows(a, a)
 
 
 class TestReduceMonic:
@@ -178,8 +184,9 @@ class TestReduceMonic:
 
 
 def per_row_mul(a, b, g, q):
-    """The per-row product: each row of the product reduced on its own."""
-    return [reduce_monic(row, g, q) for row in kronecker_mul(a, b)]
+    """The per-row product: each row of the schoolbook product reduced on
+    its own."""
+    return [reduce_monic(row, g, q) for row in schoolbook_rows(a, b)]
 
 
 # monic g of degree 1..5, with negative and zero tail coefficients
@@ -346,6 +353,70 @@ class TestResultant:
         p_, q_ = 2, -3
         poly = Poly.make(ZZ, [q_, p_, 0, 1])
         assert discriminant(poly) == -4 * p_**3 - 27 * q_**2
+
+
+def exact_degree(n):
+    """Integer polynomials of degree exactly n, with big coefficients."""
+    return st.lists(big_ints, min_size=n + 1, max_size=n + 1).filter(
+        lambda cs: cs[-1] != 0
+    ).map(lambda cs: Poly.make(ZZ, cs))
+
+
+odd_degree_polys = st.sampled_from([1, 3, 5]).flatmap(exact_degree)
+constants = st.integers(-9, 9).map(lambda c: Poly.make(ZZ, [c]))  # zero too
+
+
+def assert_int_resultants_match(A, B):
+    """The column PRS over Z = Z[c]/(c) against the element PRS, both orders."""
+    for P, Q in ((A, B), (B, A)):
+        assert resultant(P, Q) == prs_resultant(P, Q)
+
+
+class TestIntegerResultant:
+    """ZZ resultants and discriminants (``resultant_rows`` on one-entry rows)
+    against ``prs_resultant``."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(int_polys, int_polys)
+    def test_random_operands(self, a, b):
+        assert_int_resultants_match(a, b)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(odd_degree_polys, odd_degree_polys)
+    def test_odd_degrees_flip_the_sign(self, a, b):
+        assert resultant(a, b) == -resultant(b, a)
+        assert_int_resultants_match(a, b)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(constants, int_polys | constants)
+    @example(Poly.zero(ZZ), Poly.zero(ZZ))
+    @example(Poly.zero(ZZ), Poly.make(ZZ, [5]))
+    @example(Poly.zero(ZZ), Poly.make(ZZ, [1, 1]))
+    @example(Poly.make(ZZ, [-3]), Poly.make(ZZ, [1, 0, 0, 2]))
+    def test_zero_and_degree_zero_operands(self, a, b):
+        assert_int_resultants_match(a, b)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(exact_degree),
+        st.integers(0, 3).flatmap(exact_degree),
+        st.integers(0, 3).flatmap(exact_degree),
+    )
+    def test_shared_factor_is_zero(self, f, g, h):
+        assert resultant(f * g, f * h) == 0
+        assert_int_resultants_match(f * g, f * h)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(1, 9).flatmap(exact_degree))
+    @example(Poly.make(ZZ, [5, 0, 0, 1]))
+    def test_discriminant(self, p):
+        n = p.degree
+        expected = prs_resultant(p, p.derivative()) // p.lc
+        assert discriminant(p) == (-1) ** (n * (n - 1) // 2) * expected
+
+    def test_ring_without_hook(self):
+        with pytest.raises(TypeError, match="RationalField"):
+            resultant(qq_poly([1, 1]), qq_poly([2, 1]))
 
 
 class TestMobius:

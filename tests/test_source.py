@@ -19,6 +19,21 @@ def test_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def test_no_assertion_errors_raised():
+    # an internal check raises OracleMismatch, which the CLI maps to exit 1;
+    # an AssertionError would end in a traceback
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "AssertionError"
+        in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    ]
+    assert SOURCES and not found, found
+
+
 def test_no_function_level_imports():
     # every dependency is visible at the top of its module
     found = [
