@@ -53,6 +53,9 @@ COMMANDS = [
     "f-irred-cert --d 3 --gleason-n 2 --k 3" + J,
     "f-irred-cert --d 2 --gleason-n 3 --k 8" + J,
     "f-irred-cert --d 2 --gleason-n 3 --k 5 --i 2" + J,
+    # the mod-prime fallback over F_{3^3}: the primary route needs f^4
+    "f-irred-cert --d 2 --gleason-n 3 --k 2 --i 1 --budget 8",
+    "f-irred-cert --d 2 --gleason-n 3 --k 2 --i 1 --budget 8" + J,
     # parameter polynomials and orbits
     "misiurewicz --d 2 --m 3 --n 1" + J,
     "misiurewicz --d 3 --m 2 --n 2" + J,
@@ -87,6 +90,8 @@ COMMANDS = [
     "stability-cert --d 3 --gleason-n 2 --alpha 6 --kmax 3" + J,
     "stability-cert --d 2 --gleason-n 3 --alpha -2 --kmax 4",
     "stability-cert --d 2 --misiurewicz 2,1 --alpha 4/3 --kmax 3",
+    # N = 1 at a backend-B prime: the exact Eisenstein fallback
+    "stability-cert --d 2 --misiurewicz 3,1 --alpha 4 --kmax 1" + J,
     # error inputs
     "misiurewicz --d 4 --m 2 --n 1",
     "gleason --d 1 --n 2",
