@@ -65,6 +65,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # some Pythons read "--opt=--" as an empty list for a one-value option
+        value = super()._get_values(action, arg_strings)
+        if action.nargs is None and isinstance(value, list):
+            raise argparse.ArgumentError(action, "expected one argument")
+        return value
+
 
 _TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?(?:(\*)?c(?:\^(\d+))?)?")
 

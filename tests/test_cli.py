@@ -309,6 +309,26 @@ class TestErrors:
         assert code == 3 and out == ""
         assert err == f"error: ideal_power_audit requires i >= 1, got {i}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stability-cert", "--d", "2", "--gleason-n", "2", "--alpha=--", "--kmax", "3"),
+            ("disc-check", "--d", "2", "--gleason-n", "2", "--x0=--", "--k", "2"),
+            ("exact-type", "--d", "2", "--misiurewicz=--"),
+            ("exact-type", "--d", "2", "--field=--"),
+            ("exact-type", "--d=--", "--gleason-n", "2"),
+            ("exact-type", "--d", "2", "--gleason-n=--"),
+            ("exact-type", "--d", "2", "--gleason-n", "2", "--format=--"),
+            ("nonabelian-cert", "--d", "2", "--gleason-n", "3", "--case=--", "--alpha", "0"),
+        ],
+    )
+    def test_double_dash_value_exit_3(self, capsys, argv):
+        # "--opt=--" must read as a missing value, not as an empty list
+        code, out, err = run_cli(capsys, *argv)
+        (option,) = [a.split("=")[0] for a in argv if a.endswith("=--")]
+        assert code == 3 and out == ""
+        assert err == f"error: argument {option}: expected one argument\n"
+
 
 class TestReach:
     """Stability certificates at iterate degrees 4096 and 65536."""

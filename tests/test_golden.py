@@ -104,6 +104,8 @@ COMMANDS = [
     "exact-type --d 2 --gleason-n 2 --precision 0",
     "factor --d 2 --misiurewicz 2,1 --k 3 --verify",
     "nonabelian-cert --d 2 --gleason-n 3 --case periodic-3 --alpha 6",
+    "stability-cert --d 2 --gleason-n 2 --alpha=-- --kmax 3",
+    "exact-type --d 2 --misiurewicz=--",
 ]
 
 
