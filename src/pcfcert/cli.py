@@ -311,7 +311,8 @@ def run(argv) -> int:
         verify = cmd == "verify-factor" or args.verify
         code = EXIT_OK
         text = "\n".join(
-            f"{e.label}: ({e.poly.to_string('x')})^{e.exp}" for e in product.entries
+            f"{e.label}: ({fieldK.poly_from_rows(e.rows, e.den).to_string()})^{e.exp}"
+            for e in product.entries
         ) + f"\ndistinct factors: {product.distinct_count}"
         if verify:
             cert = verify_factorization(product, args.budget)

@@ -14,12 +14,13 @@ built without division as the geometric sum
 after checking the orbit relation a_{i+1} = a_i^d + c0: with it,
 f^{k+1} - a_{i+1} = (f^k)^d - a_i^d, which is exactly (f^k - a_i) F(k, i).
 A failed relation is a falsified identity and raises ShapeViolation.  Exact
-division (Poly.exact_div) stays only as the tests' oracle for this sum.
+division stays only as the tests' oracle for this sum.
 
-Iterates are computed in packed form: f^k is a list of integer rows over
-Z[c]/(g), stored per field as one packed int, and each product on the way to
-f^(k+1) is one big-integer product reduced a column at a time (see
-polyring.mul_rows).
+A polynomial over K is a pair (rows, den) (see numfield).  f^k and F(k, i)
+are integral, so they are plain integer rows over Z[c]/(g); f^k is stored per
+field as one packed int, and each product on the way to f^(k+1) is one
+big-integer product reduced a column at a time (see polyring.mul_rows).
+``iterate`` wraps f^k as a Poly over K for callers outside the package.
 
 The stability route never builds f^N over K.  Whether f^N - alpha is
 Eisenstein at a prime P above d depends only on the valuations of its
@@ -58,6 +59,7 @@ from .numfield import (
     NumberField,
     PrimeAboveD,
     Valuation,
+    add_constant,
     backend_a_primes,
     irreducible_mod_prime,
     is_unit,
@@ -91,7 +93,7 @@ class NotUnit(Exception):
 def iterate(
     fieldK: NumberField, d: int, k: int, budget: int = DEFAULT_DEGREE_BUDGET
 ) -> Poly:
-    """f^k for f = x^d + c0 as a polynomial over K (see ``iterate_rows``)."""
+    """f^k for f = x^d + c0 as a Poly over K (see ``iterate_rows``)."""
     return fieldK.poly_from_rows(iterate_rows(fieldK, d, k, budget))
 
 
@@ -147,15 +149,10 @@ class IterateForm:
     """f^k = x^(d^k) + M(x) + constant with M = d*x^d*F(x)."""
 
     k: int
-    poly: Poly
-    middle: Poly
+    middle: list  # rows of M, row j the coefficient of x^j (row 0 zero)
     constant: NFElem
     const_index: int  # the orbit index i with constant = (unit) * a_i
     unit_residual: NFElem | None  # preperiodic case: a_k / a_gcd(k, n)
-
-
-def _divisible_by_d(x: NFElem, d: int) -> bool:
-    return x.is_integral and all(c % d == 0 for c in x.num)
 
 
 def structural_form(
@@ -175,15 +172,14 @@ def structural_form(
     """
     if k < 1:
         raise ValueError("structural_form requires k >= 1")
-    f_k = iterate(fieldK, d, k, budget)
-    constant = f_k.constant_term
-    middle = Poly.make(fieldK, [fieldK.zero] + list(f_k.coeffs[1:-1]))
-    for idx in range(min(d, middle.degree + 1)):
-        if not fieldK.is_zero(middle.coeff(idx)):
+    rows = iterate_rows(fieldK, d, k, budget)
+    constant = NFElem(fieldK, rows[0])
+    middle = [[0] * fieldK.degree, *rows[1:-1]]
+    for idx in range(min(d, len(middle))):
+        if any(middle[idx]):
             raise ShapeViolation(f"middle part has a monomial of degree {idx} < d")
-    for cf in middle.coeffs:
-        if not fieldK.is_zero(cf) and not _divisible_by_d(cf, d):
-            raise ShapeViolation("middle coefficient not divisible by d")
+    if any(x % d for row in middle for x in row):
+        raise ShapeViolation("middle coefficient not divisible by d")
     n = typ.n
     if typ.kind == "periodic":
         r = k % n
@@ -194,8 +190,7 @@ def structural_form(
                 f"constant of f^{k} is not a_{i} for the periodic parameter"
             )
         return IterateForm(
-            k=k, poly=f_k, middle=middle, constant=constant,
-            const_index=i, unit_residual=None,
+            k=k, middle=middle, constant=constant, const_index=i, unit_residual=None
         )
     # preperiodic: constant = a_k = u * a_i, i = gcd(k, n), u a unit
     i = gcd(k, n)
@@ -209,8 +204,7 @@ def structural_form(
     if not is_unit(u):
         raise NotUnit(f"a_{k}/a_{i} is not an algebraic unit")
     return IterateForm(
-        k=k, poly=f_k, middle=middle, constant=constant,
-        const_index=i, unit_residual=u,
+        k=k, middle=middle, constant=constant, const_index=i, unit_residual=u
     )
 
 
@@ -227,8 +221,9 @@ def f_factor(
     k: int,
     i: int,
     budget: int = DEFAULT_DEGREE_BUDGET,
-) -> Poly:
-    """F(k, i) = (f^{k+1} - a_{i+1}) / (f^k - a_i), monic of degree d^k(d-1).
+) -> list[list[int]]:
+    """F(k, i) = (f^{k+1} - a_{i+1}) / (f^k - a_i), monic of degree d^k(d-1),
+    as integer rows over Z[c]/(g).
 
     Built as sum_{j<d} (f^k)^j * a_i^(d-1-j), by Horner's rule in f^k, once
     a_{i+1} = a_i^d + c0 is checked (ShapeViolation otherwise).
@@ -240,17 +235,17 @@ def f_factor(
     a_i = periodic_orbit_value(fieldK, d, n, i)
     if periodic_orbit_value(fieldK, d, n, i + 1) != a_i**d + fieldK.gen():
         raise ShapeViolation(f"a_{i + 1} != a_{i}^{d} + c0: c0 is not of period {n}")
-    f_k = iterate(fieldK, d, k, budget)
+    f_k = iterate_rows(fieldK, d, k, budget)
     quotient = f_k
     power = a_i
     for _ in range(d - 2):
-        quotient = (quotient + Poly.constant(fieldK, power)) * f_k
+        quotient = mul_rows(add_constant((quotient, 1), power)[0], f_k, fieldK.g.coeffs)
         power = power * a_i
-    quotient = quotient + Poly.constant(fieldK, power)
-    expected_degree = d**k * (d - 1)
-    if quotient.degree != expected_degree or not quotient.is_monic():
+    quotient = add_constant((quotient, 1), power)[0]
+    degree, expected_degree = len(quotient) - 1, d**k * (d - 1)
+    if degree != expected_degree or NFElem(fieldK, quotient[-1]) != fieldK.one:
         raise ShapeViolation(
-            f"F({k},{i}) has degree {quotient.degree}, expected {expected_degree}"
+            f"F({k},{i}) has degree {degree}, expected {expected_degree}"
         )
     return quotient
 
@@ -258,9 +253,10 @@ def f_factor(
 @dataclass(frozen=True)
 class FactorEntry:
     label: str  # "F(k,i)" or "linear"
-    poly: Poly
+    rows: list  # the factor is (rows, den) over K
     exp: int
     params: tuple  # F: (k, i); linear: (orbit index,)
+    den: int = 1
 
 
 @dataclass(frozen=True)
@@ -281,24 +277,20 @@ class FactorProduct:
         """The product as (rows, den): integer rows over Z[c]/(g) and a
         denominator.  Each leaf F^exp is a ``pow_rows`` power; the two
         lowest-degree products are multiplied until one is left."""
-        g, m = self.field.g.coeffs, self.field.degree
+        g = self.field.g.coeffs
         heap, den = [], 1
         for i, e in enumerate(self.entries):
-            if e.poly.is_zero:
+            if not e.rows:
                 return [], 1
-            rows, den_e = NumberField._rows(e.poly.coeffs)
-            rows = pow_rows([row + [0] * (m - len(row)) for row in rows], e.exp, g)
+            rows = pow_rows(e.rows, e.exp, g)
             heappush(heap, (len(rows), i, rows))
-            den *= den_e**e.exp
+            den *= e.den**e.exp
         while len(heap) > 1:
             _, _, a = heappop(heap)
             _, i, b = heappop(heap)
             ab = mul_rows(a, b, g)
             heappush(heap, (len(ab), i, ab))
         return heap[0][2], den
-
-    def expand(self) -> Poly:
-        return self.field.poly_from_rows(*self.expanded_rows())
 
 
 def iterate_factorization(
@@ -318,28 +310,28 @@ def iterate_factorization(
             entries.append(
                 FactorEntry(
                     label=f"F({k - n * j - i},{n - i})",
-                    poly=f_factor(fieldK, d, n, k - n * j - i, n - i, budget),
+                    rows=f_factor(fieldK, d, n, k - n * j - i, n - i, budget),
                     exp=d**j,
                     params=(k - n * j - i, n - i),
                 )
             )
-    linear = Poly.x(fieldK) - Poly.constant(
-        fieldK, periodic_orbit_value(fieldK, d, n, n - r)
-    )
+    a = periodic_orbit_value(fieldK, d, n, n - r).num
+    m = fieldK.degree
+    linear = [[-v for v in a] + [0] * (m - len(a)), [1] + [0] * (m - 1)]
     entries.append(
-        FactorEntry(label="linear", poly=linear, exp=d**q, params=(n - r,))
+        FactorEntry(label="linear", rows=linear, exp=d**q, params=(n - r,))
     )
     for i in range(1, r + 1):
         entries.append(
             FactorEntry(
                 label=f"F({r - i},{n - i})",
-                poly=f_factor(fieldK, d, n, r - i, n - i, budget),
+                rows=f_factor(fieldK, d, n, r - i, n - i, budget),
                 exp=d**q,
                 params=(r - i, n - i),
             )
         )
     product = FactorProduct(field=fieldK, d=d, n=n, k=k, entries=tuple(entries))
-    total = sum(e.exp * e.poly.degree for e in product.entries)
+    total = sum(e.exp * (len(e.rows) - 1) for e in product.entries)
     if total != d**k:
         raise ShapeViolation(f"factor degrees sum to {total}, expected {d}^{k}")
     return product
@@ -348,9 +340,9 @@ def iterate_factorization(
 COPRIME_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _image_mod(poly: Poly, P: PrimeAboveD) -> list[int] | None:
-    """poly over K reduced at the residue-degree-1 prime P, as residues mod
-    p; None when a coefficient has a pole at P or the degree drops."""
+def _image_mod(poly, P: PrimeAboveD) -> list[int] | None:
+    """poly = (rows, den) over K reduced at the residue-degree-1 prime P, as
+    residues mod p; None when p divides den or the degree drops."""
     try:
         image = [row[0] for row in residue_rows(poly, P)]
     except ValueError:
@@ -369,8 +361,11 @@ def _pairwise_coprime_witness(product: FactorProduct, cert: Certificate) -> bool
     """
     fieldK = product.field
     distinct = {}
-    for e in product.entries:
-        if distinct.setdefault(e.label, e.poly) != e.poly:
+    for e in product.entries:  # label -> (rows, den); equal up to scaling
+        rows, den = distinct.setdefault(e.label, (e.rows, e.den))
+        if (rows, den) != (e.rows, e.den) and [
+            [e.den * x for x in r] for r in rows
+        ] != [[den * x for x in r] for r in e.rows]:
             cert.verdict = Verdict.REFUTED
             cert.witness("label-conflict", label=e.label)
             return False
@@ -388,7 +383,7 @@ def _pairwise_coprime_witness(product: FactorProduct, cert: Certificate) -> bool
             if reduced and len(fp_gcd(reduced[la], reduced[lb], P.p)) == 1:
                 continue
             exact_fallbacks += 1
-            g = gcd_poly(distinct[la], distinct[lb])
+            g = gcd_poly(*(fieldK.poly_from_rows(*distinct[x]) for x in (la, lb)))
             if g.degree != 0:
                 cert.verdict = Verdict.REFUTED
                 cert.witness("common-factor", labels=[la, lb], gcd=g.to_string("x"))
@@ -434,19 +429,19 @@ def verify_factorization(
     return cert
 
 
-def eisenstein_certificate(h: Poly, P: PrimeAboveD) -> Certificate:
-    """Eisenstein check for monic h with integral coefficients at P."""
-    if not h.is_monic():
+def eisenstein_certificate(h, P: PrimeAboveD) -> Certificate:
+    """Eisenstein check at P for a monic integral h = (rows, den) over K."""
+    coeffs = [NFElem(P.field, row, h[1]) for row in h[0]]
+    if not coeffs or coeffs[-1] != P.field.one:
         raise ValueError("Eisenstein certificate requires a monic polynomial")
-    for cf in h.coeffs[:-1]:
-        if not cf.is_integral:
-            raise NotIntegral("Eisenstein certificate requires integral coefficients")
+    if not all(cf.is_integral for cf in coeffs):
+        raise NotIntegral("Eisenstein certificate requires integral coefficients")
     middle = (
         (idx, valuation(cf, P))
-        for idx, cf in enumerate(h.coeffs[1:-1], 1)
+        for idx, cf in enumerate(coeffs[1:-1], 1)
         if not cf.is_zero
     )
-    return _eisenstein_verdict(h.degree, P, valuation(h.constant_term, P), middle)
+    return _eisenstein_verdict(len(coeffs) - 1, P, valuation(coeffs[0], P), middle)
 
 
 def _is_one(v: Valuation) -> bool:
@@ -509,7 +504,7 @@ def iterate_eisenstein_certificate(
         rows = residue_iterate(d, N, P)[1:-1]
         least = row_valuation([gcd(*col) for col in zip(*rows)], P)
         if least is None:
-            h = iterate(fieldK, d, N, budget) - Poly.constant(fieldK, alpha)
+            h = add_constant((iterate_rows(fieldK, d, N, budget), 1), -alpha)
             return eisenstein_certificate(h, P)
         middle = [(None, Valuation.of(least))]  # refutes nothing: no index
         if least < 1:
@@ -640,7 +635,7 @@ def f_irreducibility_certificate(
     # fallback: mod-prime irreducibility of the factor itself
     try:
         found = irreducible_mod_prime(
-            f_factor(fieldK, d, n, k, i, budget), (3, 5, 7, 11, 13, 2)
+            fieldK, (f_factor(fieldK, d, n, k, i, budget), 1), (3, 5, 7, 11, 13, 2)
         )
     except BudgetExceeded:
         found = None

@@ -52,7 +52,11 @@ def factor_product_json(product) -> dict:
         "k": product.k,
         "field": field_json(product.field),
         "factors": [
-            {"label": e.label, "poly": poly_json(e.poly), "exp": e.exp}
+            {
+                "label": e.label,
+                "poly": poly_json(product.field.poly_from_rows(e.rows, e.den)),
+                "exp": e.exp,
+            }
             for e in product.entries
         ],
         "count": product.distinct_count,

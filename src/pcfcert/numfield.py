@@ -6,14 +6,14 @@ An element of K (NFElem) is an integer row ``num``, its coordinates in 1, c,
 and inverses polyring.inverse_mod (an adjugate row over one integer, by
 fraction-free elimination); an element keeps its inverse once computed.
 
-A NumberField doubles as a coefficient-ring adapter for Poly, so polynomials
-over K (iterates of x^d + c, factors of the closed-form factorization) reuse
-the generic dense-polynomial machinery.  Their products take the Kronecker
-path: the coefficient rows over a common denominator are multiplied by one
-big-integer product and reduced modulo g a column at a time
-(polyring.mul_rows).  Their resultants clear denominators and run the
+A polynomial over K is a pair (rows, den): integer rows of m entries, row j
+the numerator of the coefficient of x^j, over one positive denominator (1
+for an integral polynomial).  Products are polyring.mul_rows on the rows,
+reduced modulo g a column at a time; resultants are ``nf_resultant``, the
 subresultant PRS over Z[c]/(g) on the same columns (polyring.resultant_rows),
-the one PRS, which also gives disc g and the norms over Z = Z[c]/(c).
+the one PRS, which also gives disc g and the norms over Z = Z[c]/(c).  A
+NumberField is the Ring adapter of a Poly over K, which only output
+(``poly_from_rows``) and the exact gcd over K build.
 
 Valuations at a prime above p come from one of two backends:
 
@@ -68,7 +68,6 @@ from .polyring import (
     gcd_int_poly,
     inverse_mod,
     mul_mod,
-    mul_rows,
     reduce_monic,
     resultant,
     resultant_rows,
@@ -208,7 +207,7 @@ class NFElem:
 
 
 class NumberField(Ring):
-    """K = Q[c]/(g); also the Ring adapter for polynomials over K."""
+    """K = Q[c]/(g); also the Ring adapter of a Poly over K."""
 
     is_field = True
 
@@ -246,30 +245,11 @@ class NumberField(Ring):
     def mul(self, a: NFElem, b: NFElem) -> NFElem:
         return a * b
 
-    def mul_coeffs(self, a: tuple, b: tuple) -> list:
-        """Product coefficients by Kronecker substitution, one big-int product."""
-        rows_a, den_a = self._rows(a)
-        rows_b, den_b = (rows_a, den_a) if b is a else self._rows(b)
-        den = den_a * den_b
-        return [NFElem(self, row, den) for row in mul_rows(rows_a, rows_b, self.g.coeffs)]
-
-    @staticmethod
-    def _rows(coeffs: tuple) -> tuple[list[list[int]], int]:
-        """Numerators of ``coeffs`` over their least common denominator."""
-        den = lcm(*(c.den for c in coeffs))
-        return [[x * (den // c.den) for x in c.num] for c in coeffs], den
-
     def poly_from_rows(self, rows, den: int = 1) -> Poly:
-        """The polynomial over K with coefficients row / den, rows of ints."""
-        return Poly.make(self, [NFElem(self, row, den) for row in rows])
-
-    def resultant(self, p: Poly, q: Poly) -> NFElem:
-        """Res(p, q) on integer columns (``resultant_rows``), denominators
-        cleared first: Res(A/a, B/b) = Res(A, B) / (a^deg B * b^deg A)."""
-        rows_p, a = self._rows(p.coeffs)
-        rows_q, b = self._rows(q.coeffs)
-        res = resultant_rows(rows_p, rows_q, self.g.coeffs)
-        return NFElem(self, res, a ** max(q.degree, 0) * b ** max(p.degree, 0))
+        """The polynomial (rows, den) over K as a Poly, for output and the
+        exact gcd; every zero row is the one ``zero``."""
+        zero = self.zero
+        return Poly.make(self, [NFElem(self, r, den) if any(r) else zero for r in rows])
 
     def div(self, a: NFElem, b: NFElem) -> NFElem:
         return a / b
@@ -464,6 +444,25 @@ def nf_norm(x: NFElem) -> Fraction:
     return Fraction(res, x.den**K.degree)
 
 
+def nf_resultant(field: NumberField, p, q) -> NFElem:
+    """Res(A/a, B/b) = Res(A, B) / (a^deg B * b^deg A) for polynomials p =
+    (A, a) and q = (B, b) over K, each with a nonzero top row or none."""
+    (A, a), (B, b) = p, q
+    res = resultant_rows(A, B, field.g.coeffs)
+    return NFElem(field, res, a ** max(len(B) - 1, 0) * b ** max(len(A) - 1, 0))
+
+
+def add_constant(poly, x: NFElem):
+    """poly + x for a polynomial (rows, den) over K, over lcm(den, x.den)."""
+    rows, den = poly
+    common = lcm(den, x.den)
+    if common != den:
+        rows = [[v * (common // den) for v in row] for row in rows]
+    scale = common // x.den
+    const = [v + w * scale for v, w in zip_longest(rows[0], x.num, fillvalue=0)]
+    return [const, *rows[1:]], common
+
+
 def is_unit(x: NFElem) -> bool:
     """True iff x is an algebraic unit; requires an integral element."""
     if not x.is_integral:
@@ -560,17 +559,18 @@ def backend_a_primes(K: NumberField, ps):
                 yield p, idx, P
 
 
-def irreducible_mod_prime(poly: Poly, ps):
+def irreducible_mod_prime(K: NumberField, poly, ps):
     """(p, idx, P) for the first backend-A prime above a p in ps where poly
-    over K reduces, at the same degree, to an irreducible; None if none.
+    = (rows, den) over K reduces, at the same degree, to an irreducible;
+    None if none.
 
     Such a reduction certifies poly irreducible over K."""
-    for p, idx, P in backend_a_primes(poly.ring, ps):
+    for p, idx, P in backend_a_primes(K, ps):
         try:
             image = reduce_poly_mod_prime(poly, P)
         except ValueError:
             continue
-        if image.degree == poly.degree and is_irreducible(image):
+        if image.degree == len(poly[0]) - 1 and is_irreducible(image):
             return p, idx, P
     return None
 
@@ -666,20 +666,20 @@ def residue_field(P: PrimeAboveD):
     return ExtField(P.p, Poly.from_ints(Fp, list(P.lifted_factor.coeffs)))
 
 
-def residue_rows(poly: Poly, P: PrimeAboveD) -> list[list[int]]:
-    """The coefficients of poly over K in O_K/P = F_p[c]/(G), as rows of
-    residues mod p in the basis 1, c, ..., c^(f-1), with G the lifted factor
-    (A) or c - s (B).  ValueError when a coefficient has a pole at P."""
-    rows, den = NumberField._rows(poly.coeffs)
+def residue_rows(poly, P: PrimeAboveD) -> list[list[int]]:
+    """The coefficients of poly = (rows, den) over K in O_K/P = F_p[c]/(G), as
+    rows of residues mod p in the basis 1, c, ..., c^(f-1), with G the lifted
+    factor (A) or c - s (B).  ValueError when p divides den."""
+    rows, den = poly
     if den % P.p == 0:
         raise ValueError("element has a pole at P")
     G = P.lifted_factor.coeffs if P.backend == "A" else (-P.gen_shift, 1)
     inv = pow(den, -1, P.p)
-    return [[c * inv % P.p for c in reduce_monic(row, G, P.p)] for row in rows]
+    return [[c * inv % P.p for c in reduce_monic(list(row), G, P.p)] for row in rows]
 
 
-def reduce_poly_mod_prime(poly: Poly, P: PrimeAboveD) -> Poly:
-    """Coefficient-wise reduction of a polynomial over K into the residue field."""
+def reduce_poly_mod_prime(poly, P: PrimeAboveD) -> Poly:
+    """poly = (rows, den) over K reduced coefficient-wise into the residue field."""
     F = residue_field(P)  # built once: ExtField re-checks irreducibility
     rows = residue_rows(poly, P)
     return Poly.make(F, [row[0] if F.degree == 1 else tuple(row) for row in rows])

@@ -34,21 +34,23 @@ from .certificates import (
     Unsupported,
     Verdict,
 )
-from .factoring import iterate, stability_certificate
+from .factoring import iterate_rows, stability_certificate
 from .numfield import (
     DEFAULT_PRECISION,
     NFElem,
     NumberField,
     PrimeAboveD,
+    add_constant,
     irreducible_mod_prime,
     is_unit,
     nf_norm,
+    nf_resultant,
     prime_with_valuation,
     primes_above,
     valuation,
 )
 from .orbits import DEFAULT_DEGREE_BUDGET, ExactType, exact_type, orbit_value
-from .polyring import BudgetExceeded, Poly, discriminant, resultant
+from .polyring import BudgetExceeded
 
 DEFAULT_ORACLE_LIMIT = 4
 
@@ -97,10 +99,11 @@ def disc_iterate(
     """disc(f^k - x0) by the multiplicative recursion, oracle cross-checked.
 
     Every step j <= oracle_limit is compared against the discriminant
-    computed independently by resultant; any disagreement is fatal (it would
-    mean the sign or the critical multiplicity is wrong).  The recursion
-    builds d^(d^j) for every j <= k, so d^k above ``budget`` raises
-    BudgetExceeded before any arithmetic, as ``iterate`` does.
+    computed independently by resultant: disc(h) = (-1)^(n(n-1)/2) Res(h, h')
+    for the monic h = f^j - x0 of degree n = d^j.  Any disagreement is fatal
+    (it would mean the sign or the critical multiplicity is wrong).  The
+    recursion builds d^(d^j) for every j <= k, so d^k above ``budget`` raises
+    BudgetExceeded before any arithmetic, as ``iterate_rows`` does.
     """
     if k < 1:
         raise ValueError("disc_iterate requires k >= 1")
@@ -122,8 +125,11 @@ def disc_iterate(
             DiscStep(k=j, sign=sign, d_exponent=d**j, critical_factor=crit, value=value)
         )
         if j <= oracle_limit:
-            h = iterate(fieldK, d, j, budget) - Poly.constant(fieldK, x0)
-            oracle = discriminant(h)
+            h = add_constant((iterate_rows(fieldK, d, j, budget), 1), -x0)
+            derivative = [[i * x for x in row] for i, row in enumerate(h[0])][1:]
+            oracle = nf_resultant(fieldK, h, (derivative, h[1]))
+            if (d**j * (d**j - 1) // 2) % 2:
+                oracle = -oracle
             if oracle != value:
                 raise OracleMismatch(
                     f"recursion gives {value} at k={j}, resultant oracle gives {oracle}"
@@ -132,17 +138,16 @@ def disc_iterate(
     return DiscTrace(k=k, x0=x0, steps=tuple(steps), oracle_checked=tuple(checked))
 
 
-def relative_norm(h: Poly, P: Poly) -> NFElem:
-    """Norm of P(beta) from K(beta) down to K, beta a root of monic h.
+def relative_norm(fieldK: NumberField, h, P) -> NFElem:
+    """Norm of P(beta) from K(beta) down to K, beta a root of monic h; h and
+    P are (rows, den) over K, each with a nonzero top row (or none).
 
     Computed as resultant_x(h, P); the convention makes the norm of t - beta
     equal h(t), and the norm of beta itself (-1)^deg(h) * h(0).
     """
-    if not h.is_monic():
+    if not h[0] or NFElem(fieldK, h[0][-1], h[1]) != fieldK.one:
         raise ValueError("relative_norm requires a monic minimal polynomial")
-    if P.degree < 1:
-        return P.constant_term ** h.degree if h.degree else h.ring.one
-    return resultant(h, P)
+    return nf_resultant(fieldK, h, P)
 
 
 # -- square-class refutation --------------------------------------------------
@@ -341,13 +346,16 @@ def _stability_witness(cert: Certificate, fieldK, d, typ, alpha, k_max, budget) 
 def _norm_identities(cert: Certificate, fieldK, d, n, alpha, a_n, budget) -> bool:
     """Nm(beta) = a_(n-2) - alpha and Nm(f^2(0) - beta) = a_n - alpha, for
     beta a root of f^(n-2) - alpha (a_n = 0 for a period-n parameter)."""
-    h = iterate(fieldK, d, n - 2, budget) - Poly.constant(fieldK, alpha)
-    nm_beta = relative_norm(h, Poly.x(fieldK))
+    h = add_constant((iterate_rows(fieldK, d, n - 2, budget), 1), -alpha)
+    m = fieldK.degree
+    x = [[0] * m, [1] + [0] * (m - 1)]
+    nm_beta = relative_norm(fieldK, h, (x, 1))
     if nm_beta != orbit_value(fieldK, d, n - 2) - alpha:
         cert.diagnose("norm identity for beta failed")
         return False
     f2_0 = orbit_value(fieldK, d, 2)
-    nm_top = relative_norm(h, Poly.constant(fieldK, f2_0) - Poly.x(fieldK))
+    minus_x = [[0] * m, [-1] + [0] * (m - 1)]
+    nm_top = relative_norm(fieldK, h, add_constant((minus_x, 1), f2_0))
     if nm_top != a_n - alpha:
         cert.diagnose("norm identity for f^2(0) - beta failed")
         return False
@@ -455,8 +463,9 @@ def _case_periodic_2(fieldK, d, alpha, typ, budget):
     if not (_unit_witness(cert, "a_1", a1) and _unit_witness(cert, "a_2", a2)):
         return cert
     # the relevant quartic: f^2 + a_2 = x^4 + 2 a_1 x^2 + 2 a_2
-    quartic = iterate(fieldK, d, 2, budget) + Poly.constant(fieldK, a2)
-    found = irreducible_mod_prime(quartic, (3, 5, 7, 11, 13, 17, 19))
+    quartic = add_constant((iterate_rows(fieldK, d, 2, budget), 1), a2)
+    primes = (3, 5, 7, 11, 13, 17, 19)
+    found = irreducible_mod_prime(fieldK, quartic, primes)
     if found is None:
         cert.diagnose("could not certify irreducibility of f^2 + a_2")
         return cert

@@ -5,25 +5,24 @@ zeros (the zero polynomial is the empty tuple).  The coefficient ring is an
 explicit adapter object passed around with the polynomial, so the same code
 serves Z, Q, finite fields, cyclotomic integers and number fields.
 
-Products go through the ring's ``mul_coeffs``.  Its default is the generic
-schoolbook/Karatsuba ``_mul`` on ring elements.  A ring whose elements are
-integer rows (a number field Q[c]/(g) over a common denominator) multiplies
-by Kronecker substitution instead: ``_product`` packs every row into one
-Python int, does one big-integer product and unpacks the signed slots from
-the product's bytes.  ``mul_rows`` and ``pow_rows`` multiply and power row
-polynomials over Z[c]/(g) or, given a modulus q, over (Z/q)[c]/(g): they
-hold the rows as columns (entry j of every row), so one list operation
-reduces a whole column modulo g and q.  An element of Z[c]/(g), Z[zeta]/(Phi_d)
-or F_p[t]/(h) is a row of ints: ``mul_mod`` is their one product (schoolbook,
-then ``reduce_monic``), and ``ring_pow`` the one power in any Ring adapter.
-``inverse_mod`` inverts an element of Q[c]/(g) without fractions, as an
-adjugate row over one integer (Bareiss elimination).
+A Poly multiplies by the generic schoolbook/Karatsuba ``_mul`` on ring
+elements.  A polynomial over Z[c]/(g) is instead a list of integer rows
+(row j the coefficient of x^j in the basis 1, c, ...): ``mul_rows`` and
+``pow_rows`` multiply and power such rows over Z[c]/(g) or, given a modulus
+q, over (Z/q)[c]/(g), by Kronecker substitution (``_product`` packs every row
+into one Python int, does one big-integer product and unpacks the signed
+slots from the product's bytes).  They hold the rows as columns (entry j of
+every row), so one list operation reduces a whole column modulo g and q.  An
+element of Z[c]/(g), Z[zeta]/(Phi_d) or F_p[t]/(h) is a row of ints:
+``mul_mod`` is their one product (schoolbook, then ``reduce_monic``), and
+``ring_pow`` the one power in any Ring adapter.  ``inverse_mod`` inverts an
+element of Q[c]/(g) without fractions, as an adjugate row over one integer
+(Bareiss elimination).
 
-``resultant`` defers to the ring's ``resultant`` hook, and every hook runs
-``resultant_rows``: the one subresultant PRS, over Z[c]/(g) on columns, with
-exact divisions by adjugates.  Z is Z[c]/(c), so a resultant over Z runs it
-on one-entry rows; a number field clears denominators first.  A ring with no
-hook raises TypeError.
+``resultant_rows`` is the one subresultant PRS, over Z[c]/(g) on columns,
+with exact divisions by adjugates.  Z is Z[c]/(c), so ``resultant`` of two
+polynomials over Z runs it on one-entry rows; any other ring raises
+TypeError.
 
 All operations are pure; polynomials are immutable after construction.
 """
@@ -92,10 +91,6 @@ class Ring:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def mul_coeffs(self, a: tuple, b: tuple) -> list:
-        """Coefficients of the product of two nonzero coefficient tuples."""
-        return _mul(self, a, b)
-
     def div(self, a, b):
         raise NotImplementedError
 
@@ -107,10 +102,6 @@ class Ring:
 
     def coeff_repr(self, a) -> str:
         return str(a)
-
-    def resultant(self, p: "Poly", q: "Poly"):
-        """Resultant of two polynomials over this ring (see ``resultant``)."""
-        raise TypeError(f"no resultant over {type(self).__name__}")
 
 
 class IntegerRing(Ring):
@@ -136,11 +127,6 @@ class IntegerRing(Ring):
 
     def from_int(self, n):
         return n
-
-    def resultant(self, p, q):
-        """``resultant_rows`` over Z = Z[c]/(c), on one-entry rows."""
-        rows_p, rows_q = [[x] for x in p.coeffs], [[x] for x in q.coeffs]
-        return resultant_rows(rows_p, rows_q, (0, 1))[0]
 
 
 class RationalField(Ring):
@@ -251,17 +237,11 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(R, ())
-        return Poly.make(R, R.mul_coeffs(a, b))
+        return Poly.make(R, _mul(R, a, b))
 
     def scale(self, k) -> "Poly":
         R = self.ring
         return Poly.make(R, [R.mul(k, c) for c in self.coeffs])
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by x^n."""
-        if self.is_zero:
-            return self
-        return Poly(self.ring, (self.ring.zero,) * n + self.coeffs)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -637,10 +617,12 @@ def xgcd_poly(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     return a.scale(inv_lc), sa.scale(inv_lc), ta.scale(inv_lc)
 
 
-def resultant(p: Poly, q: Poly):
-    """Resultant of p and q as an element of their ring, by the ring's
-    ``resultant`` hook (``resultant_rows`` over Z and over number fields)."""
-    return p.ring.resultant(p, q)
+def resultant(p: Poly, q: Poly) -> int:
+    """Resultant of two polynomials over Z: ``resultant_rows`` over
+    Z = Z[c]/(c), on one-entry rows.  TypeError for any other ring."""
+    if p.ring is not ZZ:
+        raise TypeError(f"no resultant over {type(p.ring).__name__}")
+    return resultant_rows([[x] for x in p.coeffs], [[x] for x in q.coeffs], (0, 1))[0]
 
 
 # -- resultants over Z[c]/(g) on columns -----------------------------------------

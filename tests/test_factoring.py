@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import as_rows, expand, f_factor_by_division
 from pcfcert import factoring, numfield, polyring
 from pcfcert.certificates import HypothesisUnmet, Verdict
 from pcfcert.factoring import (
+    FactorEntry,
+    FactorProduct,
     IterateForm,
     ShapeViolation,
     _eisenstein_verdict,
@@ -33,6 +36,7 @@ from pcfcert.numfield import (
     NFElem,
     NotIntegral,
     Valuation,
+    add_constant,
     nf_new,
     primes_above,
     reduce_poly_mod_prime,
@@ -104,9 +108,9 @@ class TestStructuralForm:
     def test_middle_divisible_by_d(self):
         typ = exact_type(K32, 3)
         form = structural_form(K32, 3, 3, typ)
-        for cf in form.middle.coeffs:
-            if not cf.is_zero:
-                assert all(x % 3 == 0 for x in cf.num)
+        assert len(form.middle) == 3**3
+        for row in form.middle:
+            assert all(x % 3 == 0 for x in row)
 
     def test_preperiodic_unit_residual(self):
         typ = exact_type(KM21, 2)
@@ -118,15 +122,15 @@ class TestStructuralForm:
 class TestFFactor:
     def test_known_values_d2_n2(self):
         x = Poly.x(K22)
-        assert f_factor(K22, 2, 2, 0, 1) == x - Poly.one(K22)
-        f21 = f_factor(K22, 2, 2, 2, 1)
+        assert K22.poly_from_rows(f_factor(K22, 2, 2, 0, 1)) == x - Poly.one(K22)
+        f21 = K22.poly_from_rows(f_factor(K22, 2, 2, 2, 1))
         assert f21 == x**4 - Poly.constant(K22, K22.from_int(2)) * x**2 - Poly.one(K22)
 
     def test_degree_formula(self):
         for d, n, K in ((2, 2, K22), (2, 3, K23), (3, 2, K32)):
             for k in range(0, 4):
                 for i in range(1, n):
-                    F = f_factor(K, d, n, k, i)
+                    F = K.poly_from_rows(f_factor(K, d, n, k, i))
                     assert F.degree == d**k * (d - 1)
                     assert F.is_monic()
 
@@ -137,7 +141,7 @@ class TestFFactor:
             fk = iterate(K32, 3, k)
             a_i = Poly.constant(K32, orbit_value(K32, 3, i))
             expected = fk * fk + a_i * fk + a_i * a_i
-            assert f_factor(K32, 3, 2, k, i) == expected
+            assert K32.poly_from_rows(f_factor(K32, 3, 2, k, i)) == expected
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -150,13 +154,8 @@ class TestFFactor:
         K = nf_new(gleason(d, n))
         for k in range(kmax):
             for i in range(1, n):
-                numer = iterate(K, d, k + 1) - Poly.constant(
-                    K, periodic_orbit_value(K, d, n, i + 1)
-                )
-                denom = iterate(K, d, k) - Poly.constant(
-                    K, periodic_orbit_value(K, d, n, i)
-                )
-                assert f_factor(K, d, n, k, i) == numer.exact_div(denom)
+                expected = f_factor_by_division(K, d, n, k, i)
+                assert f_factor(K, d, n, k, i) == as_rows(expected)[0]
 
     def test_wrong_period_is_shape_violation(self):
         # K22 has period 2, so a_3 = a_1 != 0 breaks the period-3 relation
@@ -189,9 +188,9 @@ class TestFactorization:
             product = iterate_factorization(K, d, n, k)
             left_to_right = Poly.one(K)
             for e in product.entries:
-                left_to_right = left_to_right * e.poly**e.exp
+                left_to_right = left_to_right * K.poly_from_rows(e.rows, e.den) ** e.exp
             rows, den = product.expanded_rows()
-            assert den == 1 and product.expand() == left_to_right == iterate(K, d, k)
+            assert den == 1 and expand(product) == left_to_right == iterate(K, d, k)
             assert rows == iterate_rows(K, d, k), (d, n, k)
 
     def test_modular_prime_has_residue_degree_one(self):
@@ -234,26 +233,26 @@ class TestFactorization:
 
     def test_non_integral_factor_refuted(self):
         product = iterate_factorization(K23, 2, 3, 4)
-        half = Poly.constant(K23, K23.from_rational(Fraction(1, 2)))
+        half = K23.from_rational(Fraction(1, 2))
         e = product.entries[0]
+        rows, den = add_constant((e.rows, e.den), half)
         bad = replace(product, entries=(
-            replace(e, poly=e.poly + half), *product.entries[1:]
+            replace(e, rows=rows, den=den), *product.entries[1:]
         ))
         cert = verify_factorization(bad)
         assert cert.verdict is Verdict.REFUTED
         assert cert.witnesses == [{"step": "product-mismatch", "degree": 16}]
-        zero = replace(product, entries=(replace(e, poly=Poly.zero(K23)), *product.entries[1:]))
+        zero = replace(product, entries=(replace(e, rows=[]), *product.entries[1:]))
         cert = verify_factorization(zero)
         assert cert.witnesses == [{"step": "product-mismatch", "degree": -1}]
 
     def test_common_denominator_is_carried(self):
         # 2 F * (F' / 2) keeps the identity: a factorization over K, Verified
         product = iterate_factorization(K23, 2, 3, 4)
-        two = Poly.constant(K23, K23.from_int(2))
-        half = Poly.constant(K23, K23.from_rational(Fraction(1, 2)))
         a, b, *rest = product.entries
+        twice = [[2 * x for x in row] for row in a.rows]
         scaled = replace(product, entries=(
-            replace(a, poly=a.poly * two), replace(b, poly=b.poly * half), *rest
+            replace(a, rows=twice), replace(b, den=2), *rest
         ))
         assert scaled.expanded_rows()[1] == 2
         cert = verify_factorization(scaled)
@@ -265,15 +264,15 @@ class TestFactorization:
                               (K32, 3, 2, 3, 5)):
             P = next(P for P in primes_above(K, p) if P.residue_degree == 1)
             for e in iterate_factorization(K, d, n, k).entries:
-                image = factoring._image_mod(e.poly, P)
-                assert image == list(reduce_poly_mod_prime(e.poly, P).coeffs)
+                image = factoring._image_mod((e.rows, e.den), P)
+                assert image == list(reduce_poly_mod_prime((e.rows, e.den), P).coeffs)
         # no image when a coefficient has a pole at P or the degree drops
         P = next(P for P in primes_above(K23, 5) if P.residue_degree == 1)
         x = Poly.x(K23)
         fifth = Poly.constant(K23, K23.from_rational(Fraction(1, 5)))
         five = Poly.constant(K23, K23.from_int(5))
-        assert factoring._image_mod(x + fifth, P) is None
-        assert factoring._image_mod(x * five + Poly.one(K23), P) is None
+        assert factoring._image_mod(as_rows(x + fifth), P) is None
+        assert factoring._image_mod(as_rows(x * five + Poly.one(K23)), P) is None
 
     def test_duplicated_factor_is_common_factor(self):
         # linear^2 split into two labels of exponent 1: the identity holds
@@ -297,7 +296,7 @@ class TestFactorization:
         assert (linear.exp, f01.exp) == (2, 2)
         entries = (
             entry["F(2,1)"], replace(linear, exp=1), f01,
-            replace(f01, poly=linear.poly, exp=1),
+            replace(f01, rows=linear.rows, den=linear.den, exp=1),
         )
         cert = verify_factorization(replace(product, entries=entries))
         assert cert.verdict is Verdict.REFUTED
@@ -306,12 +305,10 @@ class TestFactorization:
 
     def test_tampered_product_refuted(self):
         product = iterate_factorization(K22, 2, 2, 3)
-        from pcfcert.factoring import FactorEntry, FactorProduct
-
         bad_entries = list(product.entries)
         bad_entries[0] = FactorEntry(
             label=bad_entries[0].label,
-            poly=bad_entries[0].poly + Poly.one(K22),
+            rows=add_constant((bad_entries[0].rows, 1), K22.one)[0],
             exp=bad_entries[0].exp,
             params=bad_entries[0].params,
         )
@@ -324,14 +321,14 @@ class TestFactorization:
 class TestEisenstein:
     def test_verified_example(self):
         (P,) = primes_above(K32, 3)
-        h = iterate(K32, 3, 2) - Poly.constant(K32, K32.from_int(3))
+        h = add_constant((iterate_rows(K32, 3, 2), 1), K32.from_int(-3))
         cert = eisenstein_certificate(h, P)
         assert cert.verdict is Verdict.VERIFIED
 
     def test_refuted_constant(self):
         (P,) = primes_above(K32, 3)
         h = Poly.x(K32) ** 2 - Poly.one(K32)
-        assert eisenstein_certificate(h, P).verdict is Verdict.REFUTED
+        assert eisenstein_certificate(as_rows(h), P).verdict is Verdict.REFUTED
 
 
 # the seven fields of the deep-iterate benchmark: (field, d, largest N)
@@ -375,18 +372,19 @@ def expects_fallback(h, P):
 
 @contextmanager
 def exact_iterate_calls():
-    """Records (d, k) of every call the library makes to ``iterate``."""
+    """Records (d, k) of every exact f^k the library builds in ``factoring``
+    (``iterate_rows``)."""
     calls = []
 
     def spy(fieldK, d, k, *rest):
         calls.append((d, k))
-        return iterate(fieldK, d, k, *rest)
+        return iterate_rows(fieldK, d, k, *rest)
 
-    factoring.iterate = spy
+    factoring.iterate_rows = spy
     try:
         yield calls
     finally:
-        factoring.iterate = iterate
+        factoring.iterate_rows = iterate_rows
 
 
 def assert_matches_exact(K, d, N, alpha, P):
@@ -395,7 +393,7 @@ def assert_matches_exact(K, d, N, alpha, P):
     with exact_iterate_calls() as calls:
         fast = iterate_eisenstein_certificate(K, d, N, alpha, P)
     h = iterate(K, d, N) - Poly.constant(K, alpha)
-    exact = eisenstein_certificate(h, P)
+    exact = eisenstein_certificate(as_rows(h), P)
     where = (K, d, N, str(alpha), P, P.T)
     assert fast.claim == exact.claim, where
     assert fast.verdict is exact.verdict, where
@@ -452,7 +450,7 @@ class TestTruncatedEisenstein:
         alpha = K32.from_rational(Fraction(3, 2))
         h = iterate(K32, 3, 2) - Poly.constant(K32, alpha)
         with pytest.raises(NotIntegral):
-            eisenstein_certificate(h, P)
+            eisenstein_certificate(as_rows(h), P)
         with pytest.raises(NotIntegral):
             iterate_eisenstein_certificate(K32, 3, 2, alpha, P)
 
@@ -633,7 +631,7 @@ class TestIrreducibilityCerts:
             {"step": "mod-prime-irreducible", "p": 3, "residue_degree": 3, "fallback": True}
         ]
         (P,) = primes_above(K23, 3)
-        assert len(factor(reduce_poly_mod_prime(f_factor(K23, 2, 3, 2, 1), P))) == 1
+        assert len(factor(reduce_poly_mod_prime((f_factor(K23, 2, 3, 2, 1), 1), P))) == 1
 
     def test_fallback_builds_the_factor_once(self, monkeypatch):
         calls = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import prs_resultant
+from oracles import as_rows, prs_resultant
 from pcfcert import numfield
 from pcfcert.certificates import HypothesisUnmet, Unsupported, Verdict
 from pcfcert.finitefield import factor
@@ -23,6 +23,7 @@ from pcfcert.numfield import (
     is_unit,
     nf_new,
     nf_norm,
+    nf_resultant,
     prime_with_valuation,
     primes_above,
     reduce_poly_mod_prime,
@@ -38,6 +39,7 @@ from pcfcert.polyring import (
     _mul,
     discriminant,
     inverse_mod,
+    mul_rows,
     xgcd_poly,
 )
 
@@ -86,21 +88,30 @@ def elem_tuples(draw, K):
     return tuple(out)
 
 
+def row_product(K, a: tuple, b: tuple) -> list:
+    """The product of two coefficient tuples over K as (rows, den) pairs:
+    ``mul_rows`` on the rows, over the product of the denominators."""
+    (rows_a, den_a), (rows_b, den_b) = as_rows(Poly(K, a)), as_rows(Poly(K, b))
+    product = mul_rows(rows_a, rows_a if b is a else rows_b, K.g.coeffs)
+    return [K.element(row, den_a * den_b) for row in product]
+
+
 class TestKroneckerMul:
-    """NumberField.mul_coeffs against the generic _mul as the oracle."""
+    """Products of (rows, den) polynomials over K (``mul_rows``) against the
+    generic _mul on NFElem coefficients as the oracle."""
 
     @given(st.data(), st.sampled_from(MUL_FIELDS))
     @settings(max_examples=60, deadline=None)
     def test_product_matches_generic(self, data, K):
         a = data.draw(elem_tuples(K))
         b = data.draw(elem_tuples(K))
-        assert K.mul_coeffs(a, b) == _mul(K, a, b)
+        assert row_product(K, a, b) == _mul(K, a, b)
 
     @given(st.data(), st.sampled_from(MUL_FIELDS))
     @settings(max_examples=40, deadline=None)
     def test_square_matches_generic(self, data, K):
         a = data.draw(elem_tuples(K))
-        assert K.mul_coeffs(a, a) == _mul(K, a, a)
+        assert row_product(K, a, a) == _mul(K, a, a)
 
     def test_edge_cases(self):
         K = MUL_FIELDS[2]
@@ -111,8 +122,8 @@ class TestKroneckerMul:
             ((K.zero, c, K.zero), (half, K.zero)),  # zero coefficients
             ((half, c * c, K.from_int(-7)), (c,)),  # unequal lengths
         ):
-            assert K.mul_coeffs(a, b) == _mul(K, a, b)
-            assert K.mul_coeffs(b, a) == _mul(K, b, a)
+            assert row_product(K, a, b) == _mul(K, a, b)
+            assert row_product(K, b, a) == _mul(K, b, a)
 
 
 def as_qq(x):
@@ -215,14 +226,14 @@ def polys_over(draw, K, max_degree=5):
 
 
 def assert_resultants_match(A, B):
-    """The column PRS (the field's hook) against the NFElem PRS, both orders."""
+    """The column PRS on (rows, den) against the NFElem PRS, both orders."""
     K = A.ring
     for P, Q in ((A, B), (B, A)):
-        assert K.resultant(P, Q) == prs_resultant(P, Q)
+        assert nf_resultant(K, as_rows(P), as_rows(Q)) == prs_resultant(P, Q)
 
 
 class TestColumnResultant:
-    """NumberField.resultant (polyring.resultant_rows) against prs_resultant."""
+    """nf_resultant (polyring.resultant_rows) against prs_resultant."""
 
     @given(st.data(), st.sampled_from(PRS_FIELDS))
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -235,7 +246,7 @@ class TestColumnResultant:
         F = data.draw(polys_over(K, 3).filter(lambda p: p.degree >= 1))
         G = data.draw(polys_over(K, 2).filter(lambda p: not p.is_zero))
         H = data.draw(polys_over(K, 2).filter(lambda p: not p.is_zero))
-        assert K.resultant(F * G, F * H) == K.zero
+        assert nf_resultant(K, as_rows(F * G), as_rows(F * H)) == K.zero
         assert_resultants_match(F * G, F * H)
 
     @given(st.data(), st.sampled_from(PRS_FIELDS))
@@ -419,22 +430,23 @@ class TestPrimeSearch:
         x = Poly.x(K)
         one = Poly.constant(K, K.one)
         # x^2 + 1 splits mod 5 and is irreducible mod 3 and mod 7
-        p, idx, P = irreducible_mod_prime(x * x + one, (5, 3, 7))
+        p, idx, P = irreducible_mod_prime(K, as_rows(x * x + one), (5, 3, 7))
         assert (p, idx, P.p) == (3, 0, 3)
-        assert irreducible_mod_prime(x * x - one, (3, 5, 7)) is None  # splits
+        assert irreducible_mod_prime(K, as_rows(x * x - one), (3, 5, 7)) is None  # splits
 
     def test_irreducible_mod_prime_rejects_lost_degree(self):
         K = field([0, 1])
         x = Poly.x(K)
         # 3x^2 + x + 1 reduces to the irreducible x + 1 mod 3, of lower degree
         poly = Poly.constant(K, K.from_int(3)) * x * x + x + Poly.constant(K, K.one)
-        assert irreducible_mod_prime(poly, (3,)) is None
+        assert irreducible_mod_prime(K, as_rows(poly), (3,)) is None
 
     def test_irreducible_mod_prime_ignores_backend_b(self):
         K = field([1, 0, 1])  # Q(i): 2 is backend B, 3 is inert
         x = Poly.x(K)
         # x^2 + x + 1 is irreducible mod the prime above 2 but splits over F_9
-        assert irreducible_mod_prime(x * x + x + Poly.constant(K, K.one), (2, 3)) is None
+        poly = x * x + x + Poly.constant(K, K.one)
+        assert irreducible_mod_prime(K, as_rows(poly), (2, 3)) is None
 
     def test_prime_with_valuation_first_qualifying_index(self):
         K = field([1, 0, 1])  # two primes above 5 in Q(i)
@@ -517,7 +529,7 @@ class TestResidue:
             y = K.gen() ** 2 - K.one
 
             def reduce(z):
-                return reduce_poly_mod_prime(Poly.constant(K, z), P).constant_term
+                return reduce_poly_mod_prime(as_rows(Poly.constant(K, z)), P).constant_term
 
             R = residue_field(P)
             assert reduce(x * y) == R.mul(reduce(x), reduce(y)), (g, p, idx)
