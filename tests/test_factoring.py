@@ -45,7 +45,6 @@ from pcfcert.numfield import (
     valuation,
 )
 from pcfcert.orbits import exact_type, gleason, misiurewicz, orbit_value
-from pcfcert.factoring import periodic_orbit_value
 from pcfcert.polyring import Poly, ZZ, reduce_monic
 
 

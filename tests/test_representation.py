@@ -197,6 +197,11 @@ class TestAgainstPolyOracles:
                       Poly.constant(K, scalars(K)[3]), Poly.zero(K)):
                 expected = relative_norm_on_poly(h, P)
                 assert relative_norm(K, as_rows(h), as_rows(P)) == expected, (alpha, P)
+        for h in (iterate(K, d, j) * Poly.constant(K, K.from_int(2)), Poly.zero(K)):
+            with pytest.raises(ValueError, match="monic"):
+                relative_norm_on_poly(h, x)
+            with pytest.raises(ValueError, match="monic"):
+                relative_norm(K, as_rows(h), as_rows(x))
 
     def test_norm_identities_with_non_integral_alpha(self):
         for K, d, n in ((K23, 2, 3), (K24, 2, 4)):
