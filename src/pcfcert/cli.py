@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import isqrt
 
 from . import jsonio
@@ -27,7 +27,7 @@ from .factoring import (
     stability_certificate,
     verify_factorization,
 )
-from .numfield import NFElem, NotIntegral, Reducible, nf_new
+from .numfield import NFElem, NotIntegral, NumberField, Reducible, nf_new
 from .obstructions import (
     CASES,
     disc_iterate,
@@ -49,6 +49,8 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_UNSUPPORTED = 4
+
+FIELD_CACHE_SIZE = 32  # fields kept across requests (``_field``)
 
 _VERDICT_EXIT = {
     Verdict.VERIFIED: EXIT_OK,
@@ -137,7 +139,7 @@ def _parse_mn(text: str) -> tuple[int, int]:
 
 
 def resolve_field(args):
-    """Construct the number field from --field / --gleason-n / --misiurewicz."""
+    """The number field of --field / --gleason-n / --misiurewicz: one per g."""
     sources = [args.field, args.gleason_n, args.misiurewicz]
     if sum(x is not None for x in sources) != 1:
         raise UsageError("exactly one of --field, --gleason-n, --misiurewicz required")
@@ -148,7 +150,15 @@ def resolve_field(args):
     else:
         m, n = _parse_mn(args.misiurewicz)
         g = misiurewicz(args.d, m, n, args.budget)[1]
-    return nf_new(g)
+    return _field(g.coeffs)
+
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _field(coeffs: tuple) -> NumberField:
+    """One field per defining polynomial, kept across requests with all it
+    caches (disc g, its irreducibility certificate, primes, iterates, orbit
+    values).  A reducible g raises, and nothing is kept for it."""
+    return nf_new(Poly(ZZ, coeffs))
 
 
 def _field_flags(sub):

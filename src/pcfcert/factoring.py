@@ -17,10 +17,13 @@ A failed relation is a falsified identity and raises ShapeViolation.  Exact
 division stays only as the tests' oracle for this sum.
 
 A polynomial over K is a pair (rows, den) (see numfield).  f^k and F(k, i)
-are integral, so they are plain integer rows over Z[c]/(g); f^k is stored per
-field as one packed int, and each product on the way to f^(k+1) is one
-big-integer product reduced a column at a time (see polyring.mul_rows).
-``iterate`` wraps f^k as a Poly over K for callers outside the package.
+are integral, so they are plain integer rows over Z[c]/(g).  Each product on
+the way to f^(k+1) is one big-integer product reduced a column at a time
+(see polyring.mul_rows).  The field keeps f^0, f^1, ... as one chain, one
+packed int per iterate, and one more chain for the image of f in the
+residue ring of each prime P above d, so a later request on the same field
+(cli keeps one field per g) only unpacks.  ``iterate`` wraps f^k as a Poly
+over K for callers outside the package.
 
 The stability route never builds f^N over K.  Whether f^N - alpha is
 Eisenstein at a prime P above d depends only on the valuations of its
@@ -103,45 +106,45 @@ def iterate_rows(
     """f^k for f = x^d + c0 as integer rows, cached per field.
 
     c0 is an algebraic integer (g is monic), so every coefficient of f^k is
-    a row of integers in the basis 1, c, ..., c^(m-1).  The cache holds f^k
-    packed into one int, m slots per coefficient; f^(k+1) is the d-th power
-    of the unpacked rows over Z[c]/(g), plus c0.
+    a row of integers in the basis 1, c, ..., c^(m-1).
     """
     if k < 0:
         raise ValueError("iterate index must be >= 0")
     if d**k > budget:
         raise BudgetExceeded(f"deg f^{k} = {d}^{k} exceeds budget {budget}")
-    m = fieldK.degree
-    cache = fieldK._iterates.setdefault(d, [])
-    if not cache:
-        cache.append(PackedRows.pack([[], [1]], m))  # f^0 = x
     g = fieldK.g.coeffs
-    c0 = reduce_monic([0, 1], g)  # the class of c
-    while len(cache) <= k:
-        cache.append(PackedRows.pack(_apply_f(cache[-1].rows(), d, c0, g), m))
-    return cache[k].rows()
-
-
-def _apply_f(rows, d: int, c0, g, modulus: int = 0) -> list[list[int]]:
-    """rows^d + c0 over Z[c]/(g), or over (Z/modulus)[c]/(g)."""
-    rows = pow_rows(rows, d, g, modulus)
-    const = rows[0]
-    for j, c in enumerate(c0):
-        const[j] += c
-    if modulus:
-        rows[0] = [c % modulus for c in const]
-    return rows
+    return _cached_iterate(fieldK, d, d, k, lambda: (g, reduce_monic([0, 1], g), 0))
 
 
 def residue_iterate(d: int, k: int, P: PrimeAboveD) -> list[list[int]]:
     """The image of f^k in the residue ring (Z/p^T)[t]/(G) of P, as rows:
     row j holds the residues of the coefficient of x^j (see
-    numfield.residue_ring).  Not cached: a row is a few bits wide."""
-    G, c0, q = residue_ring(P)
-    rows = [[0] * (len(G) - 1), reduce_monic([1], G, q)]  # f^0 = x
-    for _ in range(k):
-        rows = _apply_f(rows, d, c0, G, q)
-    return rows
+    numfield.residue_ring).  Cached per field, under (P, d)."""
+    return _cached_iterate(P.field, (P, d), d, k, lambda: residue_ring(P))
+
+
+def _cached_iterate(fieldK: NumberField, key, d: int, k: int, ring) -> list[list[int]]:
+    """f^k from the chain fieldK._iterates[key], extended as far as k.
+
+    ``ring()`` gives (g, c0, modulus) for the ring (Z/modulus)[c]/(g), or
+    Z[c]/(g) when modulus is 0; it is called only to extend the chain.  Each
+    f^k is packed into one int, deg g slots per coefficient, and f^(k+1) is
+    the d-th power of the unpacked rows plus c0.  The rows returned are
+    unpacked afresh, so a caller may overwrite them.
+    """
+    chain = fieldK._iterates.setdefault(key, [])
+    if len(chain) <= k:
+        g, c0, modulus = ring()
+        m = len(g) - 1
+        if not chain:
+            chain.append(PackedRows.pack([[], [1]], m))  # f^0 = x
+        while len(chain) <= k:
+            rows = pow_rows(chain[-1].rows(), d, g, modulus)
+            rows[0] = [a + b for a, b in zip(rows[0], c0)]
+            if modulus:
+                rows[0] = [a % modulus for a in rows[0]]
+            chain.append(PackedRows.pack(rows, m))
+    return chain[k].rows()
 
 
 @dataclass(frozen=True)
@@ -184,8 +187,7 @@ def structural_form(
     if typ.kind == "periodic":
         r = k % n
         i = r if r else n
-        expected = fieldK.zero if r == 0 else orbit_value(fieldK, d, i)
-        if constant != expected:
+        if constant != orbit_value(fieldK, d, r):
             raise ShapeViolation(
                 f"constant of f^{k} is not a_{i} for the periodic parameter"
             )
@@ -210,8 +212,7 @@ def structural_form(
 
 def periodic_orbit_value(fieldK: NumberField, d: int, n: int, j: int) -> NFElem:
     """a_j(c0) for a period-n parameter, with a_0 = a_n = 0 and index cycling."""
-    r = j % n
-    return fieldK.zero if r == 0 else orbit_value(fieldK, d, r)
+    return orbit_value(fieldK, d, j % n)
 
 
 def f_factor(
@@ -232,8 +233,10 @@ def f_factor(
         raise ValueError("f_factor requires n >= 2, k >= 0, 1 <= i <= n-1")
     if d ** (k + 1) > budget:
         raise BudgetExceeded(f"deg f^{k + 1} = {d}^{k + 1} exceeds budget {budget}")
-    a_i = periodic_orbit_value(fieldK, d, n, i)
-    if periodic_orbit_value(fieldK, d, n, i + 1) != a_i**d + fieldK.gen():
+    a_i = orbit_value(fieldK, d, i)
+    # orbit_value walks a_(i+1) = a_i^d + c0, so the relation holds iff that
+    # equals the cycled a_(i+1): at i + 1 = n, iff a_n = 0
+    if periodic_orbit_value(fieldK, d, n, i + 1) != orbit_value(fieldK, d, i + 1):
         raise ShapeViolation(f"a_{i + 1} != a_{i}^{d} + c0: c0 is not of period {n}")
     f_k = iterate_rows(fieldK, d, k, budget)
     quotient = f_k

@@ -230,10 +230,12 @@ class NumberField(Ring):
         self.zero = NFElem(self, ())
         self.one = NFElem(self, (1,))
         self._primes_cache: dict[tuple[int, int], tuple] = {}
-        # d -> [f^0, f^1, ...] for f = x^d + c0, each f^k packed into one int
-        # (see factoring.iterate); ints, not NFElems, so a field kept alive
-        # until the cyclic collector runs holds little memory
-        self._iterates: dict[int, list] = {}
+        # d (over Z[c]/(g)) or (P, d) (in the residue ring of P) -> [f^0,
+        # f^1, ...] for f = x^d + c0, each f^k packed into one int (see
+        # factoring.iterate_rows); ints, not NFElems, so a field kept for
+        # many requests holds little memory
+        self._iterates: dict = {}
+        self._orbits: dict[int, list] = {}  # d -> [a_0, a_1, ...] (orbits.orbit_value)
 
     # Ring adapter interface
     def add(self, a: NFElem, b: NFElem) -> NFElem:

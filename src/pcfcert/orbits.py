@@ -246,28 +246,24 @@ class BoundExceeded(RuntimeError):
 def exact_type(fieldK: NumberField, d: int, bound: int = 64) -> ExactType:
     """Classify c0 = class of c: Periodic(n) or Preperiodic(m, n).
 
-    Walks the orbit of 0 in K until the first repetition, then re-verifies
-    every minimality condition on the witness values.
+    Walks the orbit of 0 in K (``orbit_value``) until the first repetition,
+    then re-verifies every minimality condition on the witness values.
     """
-    c0 = fieldK.gen()
-    orbit: list[NFElem] = []
     seen: dict[NFElem, int] = {}
-    value = c0
     for i in range(1, bound + 1):
+        value = orbit_value(fieldK, d, i)
         if value.is_zero:
             # a_i = 0: period i; minimality is automatic (no earlier zero seen)
-            orbit.append(value)
+            orbit = fieldK._orbits[d][1 : i + 1]
             _verify_periodic(orbit, i)
             return ExactType(kind="periodic", n=i, m=0, witness=tuple(orbit))
         if value in seen:
             m = seen[value]
             n = i - m
-            orbit.append(value)
+            orbit = fieldK._orbits[d][1 : i + 1]
             _verify_preperiodic(orbit, m, n)
             return ExactType(kind="preperiodic", n=n, m=m, witness=tuple(orbit))
         seen[value] = i
-        orbit.append(value)
-        value = value**d + c0
     raise BoundExceeded(f"no repetition in the first {bound} orbit values")
 
 
@@ -293,13 +289,12 @@ def _verify_preperiodic(orbit, m, n):
 
 
 def orbit_value(fieldK: NumberField, d: int, i: int) -> NFElem:
-    """a_i(c0) in K."""
+    """a_i(c0) in K, from one walk a_(j+1) = a_j^d + c0 per field and d."""
     if i < 0:
         raise ValueError("orbit index must be >= 0")
-    if i == 0:
-        return fieldK.zero
-    c0 = fieldK.gen()
-    value = c0
-    for _ in range(i - 1):
-        value = value**d + c0
-    return value
+    orbit = fieldK._orbits.setdefault(d, [fieldK.zero])
+    if len(orbit) <= i:
+        c0 = fieldK.gen()
+        while len(orbit) <= i:
+            orbit.append(orbit[-1] ** d + c0)
+    return orbit[i]

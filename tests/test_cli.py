@@ -393,3 +393,46 @@ class TestDeterminism:
             second = run_cli(capsys, *argv)
             assert first == second
             assert first[0] == 0
+
+
+class TestWarmCache:
+    """``main`` keeps one field per defining polynomial across calls."""
+
+    @staticmethod
+    def field_file(path, coeffs):
+        path.write_text(json.dumps({"g": {"var": "c", "coeffs": [str(c) for c in coeffs]}}))
+        return str(path)
+
+    @staticmethod
+    def resolve(*argv):
+        return cli.resolve_field(cli._parser().parse_args(list(argv)))
+
+    def test_reducible_field_is_refused_each_time_and_never_kept(self, capsys, tmp_path):
+        path = self.field_file(tmp_path / "field.json", [-2, 1, 1])
+        before = cli._field.cache_info()
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "exact-type", "--d", "2", "--field", path)
+            assert code == 3 and out == "" and "reducible" in err
+        after = cli._field.cache_info()
+        assert after.misses == before.misses + 2 and after.currsize == before.currsize
+
+    def test_field_file_and_gleason_flag_share_one_field(self, tmp_path):
+        K = self.resolve("exact-type", "--d", "2", "--gleason-n", "3")
+        path = self.field_file(tmp_path / "field.json", K.g.coeffs)
+        assert self.resolve("exact-type", "--d", "2", "--field", path) is K
+        assert self.resolve("exact-type", "--d", "2", "--gleason-n", "3") is K
+
+    def test_cache_is_bounded_and_a_rebuilt_field_gives_the_same_bytes(
+        self, capsys, tmp_path
+    ):
+        argv = ("stability-cert", "--d", "2", "--gleason-n", "3", "--alpha", "2",
+                "--kmax", "6", "--format", "json")
+        first = run_cli(capsys, *argv)
+        K = self.resolve(*argv)
+        for a in range(1, cli.FIELD_CACHE_SIZE + 1):  # c^2 + a is irreducible
+            path = self.field_file(tmp_path / f"field{a}.json", [a, 0, 1])
+            self.resolve("exact-type", "--d", "2", "--field", path)
+        assert cli._field.cache_info().currsize <= cli.FIELD_CACHE_SIZE
+        assert self.resolve(*argv) is not K
+        assert run_cli(capsys, *argv) == first
+        assert first[0] == 0

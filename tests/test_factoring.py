@@ -95,6 +95,28 @@ class TestIterate:
             tower = tower**d + c0
             assert iterate(K, d, k) == tower
 
+    @pytest.mark.parametrize("g", [gleason(2, 3), misiurewicz(2, 2, 2)[1]])
+    def test_cached_rows_are_fresh_and_kept_apart(self, g):
+        # one field serves every chain: rows a caller overwrites (as
+        # reduce_monic does) must not reach a later call, and the chains of
+        # another d or another ring must not mix; each expected value comes
+        # from a new field
+        calls = [lambda K, k, d=d: iterate_rows(K, d, k) for d in (2, 3)]
+        calls += [
+            lambda K, k, d=d, i=i: residue_iterate(d, k, primes_above(K, 2)[i])
+            for i in range(len(primes_above(nf_new(g), 2)))
+            for d in (2, 3)
+        ]
+        expected = [[call(nf_new(g), k) for k in range(4)] for call in calls]
+        K = nf_new(g)
+        for call in calls:
+            for k in (3, 1, 0):
+                rows = call(K, k)
+                for row in rows:
+                    row[:] = [x + 1 for x in row]
+                rows.append([7] * K.degree)
+        assert [[call(K, k) for k in range(4)] for call in calls] == expected
+
 
 class TestStructuralForm:
     def test_periodic_constant_index(self):

@@ -129,6 +129,13 @@ def test_same_bytes(command):
     assert run(command) == json.loads(GOLDEN.read_text())[command]
 
 
+def test_same_bytes_with_warm_caches():
+    # the second run reuses every field, iterate and prime of the first
+    golden = json.loads(GOLDEN.read_text())
+    for _ in range(2):
+        assert [run(c) for c in COMMANDS] == [golden[c] for c in COMMANDS]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({c: run(c) for c in COMMANDS}, indent=1) + "\n")
     sys.exit(0)

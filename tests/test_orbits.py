@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import norm_form_oracle
-from pcfcert.numfield import nf_new
+from pcfcert.numfield import NFElem, nf_new
 from pcfcert.orbits import (
     BoundExceeded,
     CyclotomicIntegers,
@@ -145,6 +145,16 @@ class TestExactType:
         for i in (1, 2, 3, 4):
             spec = orbit_poly(2, i).map_coeffs(K, K.from_int)(c0)
             assert orbit_value(K, 2, i) == spec
+
+    @pytest.mark.parametrize("g, d", [(gleason(2, 3), 2), (misiurewicz(3, 2, 1)[1], 3)])
+    def test_orbit_is_walked_once_per_field(self, monkeypatch, g, d):
+        K = nf_new(g)
+        typ = exact_type(K, d)
+        powers = []
+        monkeypatch.setattr(NFElem, "__pow__", lambda *args: powers.append(args))
+        assert exact_type(K, d) == typ
+        orbit = [orbit_value(K, d, i) for i in range(1, typ.m + typ.n + 1)]
+        assert orbit == list(typ.witness) and not powers
 
 
 @given(st.integers(2, 3), st.integers(1, 4))
