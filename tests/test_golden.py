@@ -45,6 +45,7 @@ COMMANDS = [
     "factor --d 2 --gleason-n 4 --k 5 --verify" + J,
     "factor --d 3 --gleason-n 2 --k 3 --verify" + J,
     "factor --d 2 --gleason-n 3 --k 8 --verify" + J,
+    "factor --d 2 --gleason-n 3 --k 11 --verify --budget 5000" + J,
     "factor --d 3 --gleason-n 2 --k 2",
     "verify-factor --d 2 --gleason-n 3 --k 4" + J,
     "f-irred-cert --d 2 --gleason-n 2 --k 5" + J,
