@@ -317,20 +317,22 @@ def run(argv) -> int:
     if cmd in ("factor", "verify-factor"):
         n = _period_of(args, fieldK)
         product = iterate_factorization(fieldK, args.d, n, args.k, args.budget)
-        obj = jsonio.factor_product_json(product)
-        verify = cmd == "verify-factor" or args.verify
-        code = EXIT_OK
-        text = "\n".join(
-            f"{e.label}: ({fieldK.poly_from_rows(e.rows, e.den).to_string()})^{e.exp}"
-            for e in product.entries
-        ) + f"\ndistinct factors: {product.distinct_count}"
-        if verify:
+        cert = None
+        if cmd == "verify-factor" or args.verify:
             cert = verify_factorization(product, args.budget)
-            obj = {"product": obj, "certificate": jsonio.certificate_json(cert)}
-            text += f"\nverification: {cert.verdict.value}"
-            code = _VERDICT_EXIT[cert.verdict]
-        _emit(args, text, obj)
-        return code
+        if args.format == "json":  # build only the requested rendering
+            obj = jsonio.factor_product_json(product)
+            if cert:
+                obj = {"product": obj, "certificate": jsonio.certificate_json(cert)}
+            print(jsonio.dumps(obj))
+        else:
+            for e in product.entries:
+                poly = fieldK.poly_from_rows(e.rows, e.den)
+                print(f"{e.label}: ({poly.to_string()})^{e.exp}")
+            print(f"distinct factors: {product.distinct_count}")
+            if cert:
+                print(f"verification: {cert.verdict.value}")
+        return _VERDICT_EXIT[cert.verdict] if cert else EXIT_OK
 
     if cmd == "stability-cert":
         alpha = parse_scalar_literal(args.alpha, fieldK)

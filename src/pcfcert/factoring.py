@@ -16,6 +16,21 @@ f^{k+1} - a_{i+1} = (f^k)^d - a_i^d, which is exactly (f^k - a_i) F(k, i).
 A failed relation is a falsified identity and raises ShapeViolation.  Exact
 division stays only as the tests' oracle for this sum.
 
+verify_factorization proves the product is f^k by telescoping, without f^k.
+Write S(m, i) = f^m - a_i, so F(m, i) S(m, i) = S(m+1, i+1) by the relation.
+Two rewrite rules hold: S(m, n) = f^m, as a_n = 0, and S(m, 1) = (f^(m-1))^d
+for m >= 1, as a_1 = c0.  The linear factor is S(0, n-r).  Block j of the
+closed form is then (f^(k-nj))^(d^j) / (f^(k-n(j+1)))^(d^(j+1)) and the tail
+is f^r, so the product is f^k.  The check has four exact steps: (1) the
+orbit relations hold in K; (2) each entry is lambda F(m, i) (or lambda
+S(0, j)) for the factor its params name, lambda its leading coefficient and
+F rebuilt by the geometric sum from f^m, m < k; (3) the product of the
+lambda^exp is 1; (4) the exponents of the S symbols, rewritten by the two
+rules, add up to exactly f^k.  Each step is an identity over K, so passing
+all four proves the product identity.  A product that fails one is
+multiplied out (FactorProduct.expanded_rows) and compared with f^k instead,
+which gives every refutation witness.
+
 A polynomial over K is a pair (rows, den) (see numfield).  f^k and F(k, i)
 are integral, so they are plain integer rows over Z[c]/(g).  Each product on
 the way to f^(k+1) is one big-integer product reduced a column at a time
@@ -110,10 +125,14 @@ def iterate_rows(
     """
     if k < 0:
         raise ValueError("iterate index must be >= 0")
-    if d**k > budget:
-        raise BudgetExceeded(f"deg f^{k} = {d}^{k} exceeds budget {budget}")
+    _check_budget(d, k, budget)
     g = fieldK.g.coeffs
     return _cached_iterate(fieldK, d, d, k, lambda: (g, reduce_monic([0, 1], g), 0))
+
+
+def _check_budget(d: int, k: int, budget: int) -> None:
+    if d**k > budget:
+        raise BudgetExceeded(f"deg f^{k} = {d}^{k} exceeds budget {budget}")
 
 
 def residue_iterate(d: int, k: int, P: PrimeAboveD) -> list[list[int]]:
@@ -231,26 +250,40 @@ def f_factor(
     """
     if not (n >= 2 and k >= 0 and 1 <= i <= n - 1):
         raise ValueError("f_factor requires n >= 2, k >= 0, 1 <= i <= n-1")
-    if d ** (k + 1) > budget:
-        raise BudgetExceeded(f"deg f^{k + 1} = {d}^{k + 1} exceeds budget {budget}")
-    a_i = orbit_value(fieldK, d, i)
-    # orbit_value walks a_(i+1) = a_i^d + c0, so the relation holds iff that
-    # equals the cycled a_(i+1): at i + 1 = n, iff a_n = 0
-    if periodic_orbit_value(fieldK, d, n, i + 1) != orbit_value(fieldK, d, i + 1):
+    _check_budget(d, k + 1, budget)
+    if not _orbit_relation(fieldK, d, n, i):
         raise ShapeViolation(f"a_{i + 1} != a_{i}^{d} + c0: c0 is not of period {n}")
-    f_k = iterate_rows(fieldK, d, k, budget)
-    quotient = f_k
-    power = a_i
-    for _ in range(d - 2):
-        quotient = mul_rows(add_constant((quotient, 1), power)[0], f_k, fieldK.g.coeffs)
-        power = power * a_i
-    quotient = add_constant((quotient, 1), power)[0]
+    quotient = _geometric_sum(fieldK, d, k, i, budget)
     degree, expected_degree = len(quotient) - 1, d**k * (d - 1)
-    if degree != expected_degree or NFElem(fieldK, quotient[-1]) != fieldK.one:
+    if degree != expected_degree or quotient[-1] != [1] + [0] * (fieldK.degree - 1):
         raise ShapeViolation(
             f"F({k},{i}) has degree {degree}, expected {expected_degree}"
         )
     return quotient
+
+
+def _orbit_relation(fieldK: NumberField, d: int, n: int, i: int) -> bool:
+    """a_(i+1) = a_i^d + c0 with indices cycling mod n.  orbit_value walks
+    a_(j+1) = a_j^d + c0, so this holds iff the cycled a_(i+1) is the walked
+    one: at i + 1 = n, iff a_n = 0."""
+    return periodic_orbit_value(fieldK, d, n, i + 1) == orbit_value(fieldK, d, i + 1)
+
+
+def _geometric_sum(fieldK: NumberField, d: int, k: int, i: int, budget: int) -> list:
+    """sum_{j<d} (f^k)^j * a_i^(d-1-j) as integer rows, by Horner's rule."""
+    a_i = orbit_value(fieldK, d, i)
+    quotient = f_k = iterate_rows(fieldK, d, k, budget)
+    power = a_i
+    for _ in range(d - 2):
+        quotient = mul_rows(add_constant((quotient, 1), power)[0], f_k, fieldK.g.coeffs)
+        power = power * a_i
+    return add_constant((quotient, 1), power)[0]
+
+
+def _linear_rows(fieldK: NumberField, d: int, n: int, j: int) -> list[list[int]]:
+    """x - a_j (index cycling mod n) as integer rows."""
+    a, m = periodic_orbit_value(fieldK, d, n, j).num, fieldK.degree
+    return [[-v for v in a] + [0] * (m - len(a)), [1] + [0] * (m - 1)]
 
 
 @dataclass(frozen=True)
@@ -318,12 +351,8 @@ def iterate_factorization(
                     params=(k - n * j - i, n - i),
                 )
             )
-    a = periodic_orbit_value(fieldK, d, n, n - r).num
-    m = fieldK.degree
-    linear = [[-v for v in a] + [0] * (m - len(a)), [1] + [0] * (m - 1)]
-    entries.append(
-        FactorEntry(label="linear", rows=linear, exp=d**q, params=(n - r,))
-    )
+    linear = _linear_rows(fieldK, d, n, n - r)
+    entries.append(FactorEntry(label="linear", rows=linear, exp=d**q, params=(n - r,)))
     for i in range(1, r + 1):
         entries.append(
             FactorEntry(
@@ -400,24 +429,86 @@ def _pairwise_coprime_witness(product: FactorProduct, cert: Certificate) -> bool
     return True
 
 
+def _closed_form(product: FactorProduct, params, budget: int):
+    """(rows, symbols) of the monic closed-form factor that ``params`` names:
+    F(m, i) for (m, i) with 0 <= m < k and 1 <= i < n, with symbols
+    S(m+1, i+1) / S(m, i); S(0, j) = x - a_j for (j,) with 1 <= j <= n.
+    A symbol is ((m, i), exponent).  None for any other params."""
+    fieldK, d, n = product.field, product.d, product.n
+    match params:
+        case (int(m), int(i)) if 0 <= m < product.k and 0 < i < n:
+            rows = _geometric_sum(fieldK, d, m, i, budget)
+            return rows, (((m + 1, i + 1), 1), ((m, i), -1))
+        case (int(j),) if 0 < j <= n:
+            return _linear_rows(fieldK, d, n, j), (((0, j), 1),)
+    return None
+
+
+def _telescopes(product: FactorProduct, budget: int) -> bool:
+    """Steps 1-4 of the module docstring: True when they prove the product
+    equal to f^k, False when it must be multiplied out."""
+    fieldK, d, n, k = product.field, product.d, product.n, product.k
+    if n < 2 or not all(_orbit_relation(fieldK, d, n, i) for i in range(1, n)):
+        return False
+    g, one = fieldK.g.coeffs, [1] + [0] * (fieldK.degree - 1)
+    lam, lam_den = one, 1  # the product of the lambda^exp, over lam_den
+    vector = {}  # (m, i) -> the exponent of S(m, i)
+    for e in product.entries:
+        closed = _closed_form(product, e.params, budget)
+        if closed is None or not e.rows or e.den < 1 or e.exp < 1:
+            return False
+        factor, symbols = closed
+        lead = e.rows[-1]
+        if lead == [e.den, *one[1:]]:  # lambda = 1
+            expected = factor
+            if e.den != 1:
+                expected = [[e.den * x for x in row] for row in factor]
+        else:
+            expected = mul_rows(factor, [lead], g)
+            lam = mul_rows([lam], pow_rows([lead], e.exp, g), g)[0]
+            lam_den *= e.den**e.exp
+        if e.rows != expected:
+            return False
+        for symbol, x in symbols:
+            vector[symbol] = vector.get(symbol, 0) + x * e.exp
+    return lam == [lam_den, *one[1:]] and _rewritten(vector, n, d) == {(k, n): 1}
+
+
+def _rewritten(vector: dict, n: int, d: int) -> dict:
+    """Exponents {(m, i): x} of the symbols S(m, i) rewritten by the rule
+    S(m, 1) = (f^(m-1))^d for m >= 1, zeros dropped; the key (m, n) is
+    S(m, n) = f^m."""
+    total = {}
+    for (m, i), x in vector.items():
+        if i == 1 and m >= 1:
+            m, i, x = m - 1, n, d * x
+        total[m, i] = total.get((m, i), 0) + x
+    return {s: x for s, x in total.items() if x}
+
+
 def verify_factorization(
     product: FactorProduct, budget: int = DEFAULT_DEGREE_BUDGET
 ) -> Certificate:
     """Certify that the assembled product is exactly f^k with coprime factors.
 
-    The product identity is exact on integer rows, denominators included:
-    by Gauss's lemma a monic non-integral factor fails it."""
+    The product identity is proved by telescoping (module docstring).  A
+    product that does not telescope is multiplied out and compared with f^k,
+    exactly on integer rows, denominators included: by Gauss's lemma a monic
+    non-integral factor fails it."""
     fieldK, d, n, k = product.field, product.d, product.n, product.k
     cert = Certificate(
         claim=f"factorization(d={d}, n={n}, k={k})",
         verdict=Verdict.VERIFIED,
         taint=fieldK.assumed,
     )
-    rows, den = product.expanded_rows()
-    if rows != [[den * x for x in row] for row in iterate_rows(fieldK, d, k, budget)]:
-        cert.verdict = Verdict.REFUTED
-        cert.witness("product-mismatch", degree=len(rows) - 1)
-        return cert
+    _check_budget(d, k, budget)
+    if not _telescopes(product, budget):
+        rows, den = product.expanded_rows()
+        f_k = iterate_rows(fieldK, d, k, budget)
+        if rows != [[den * x for x in row] for row in f_k]:
+            cert.verdict = Verdict.REFUTED
+            cert.witness("product-mismatch", degree=len(rows) - 1)
+            return cert
     cert.witness("product-identity", degree=d**k)
     if not _pairwise_coprime_witness(product, cert):
         return cert
@@ -497,8 +588,7 @@ def iterate_eisenstein_certificate(
     verdict and witnesses are the exact path's.  When no middle row is
     nonzero (always for N = 1), the exact f^N - alpha is built instead.
     """
-    if d**N > budget:
-        raise BudgetExceeded(f"deg f^{N} = {d}^{N} exceeds budget {budget}")
+    _check_budget(d, N, budget)
     if not alpha.is_integral:
         raise NotIntegral("Eisenstein certificate requires integral coefficients")
     const_val = valuation(orbit_value(fieldK, d, N) - alpha, P)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .certificates import Certificate
 from .numfield import NFElem, NumberField
@@ -45,6 +47,22 @@ def field_json(fieldK: NumberField) -> dict:
     return {"g": poly_json(fieldK.g, "c")}
 
 
+def _rows_json(rows, den: int) -> dict:
+    """poly_json of (rows, den) over K, straight from the rows (deg g
+    entries): each coefficient in the bytes element_json gives its NFElem."""
+    coeffs = []
+    for row in rows:
+        num = list(row)
+        while num and not num[-1]:
+            num.pop()
+        shared = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        num = {"var": "c", "coeffs": [str(v // shared) for v in num]}
+        coeffs.append({"num": num, "den": str(den // shared)})
+    while coeffs and not coeffs[-1]["num"]["coeffs"]:
+        coeffs.pop()
+    return {"var": "x", "coeffs": coeffs}
+
+
 def factor_product_json(product) -> dict:
     return {
         "d": product.d,
@@ -54,7 +72,7 @@ def factor_product_json(product) -> dict:
         "factors": [
             {
                 "label": e.label,
-                "poly": poly_json(product.field.poly_from_rows(e.rows, e.den)),
+                "poly": _rows_json(e.rows, e.den),
                 "exp": e.exp,
             }
             for e in product.entries
@@ -115,5 +133,30 @@ def disc_trace_json(trace) -> dict:
 
 
 def dumps(obj) -> str:
-    """Stable rendering: fixed separators, preserved key order, no NaN."""
-    return json.dumps(obj, indent=2, allow_nan=False)
+    """Stable rendering: fixed separators, preserved key order, no NaN.
+
+    The bytes of json.dumps(obj, indent=2, allow_nan=False) for str keys,
+    written here because any indent sends json to its pure-Python encoder:
+    strings go through json's C escaper, other scalars and empty containers
+    through json.dumps."""
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, newline: str) -> str:
+    """``obj`` at the nesting level that ``newline`` (a newline and the
+    indent) opens; a str item is escaped in place, without a call."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (dict, list, tuple)) and obj:
+        inner = newline + "  "
+        escape = encode_basestring_ascii
+        if isinstance(obj, dict):
+            items = [
+                escape(k) + ": " + (escape(v) if type(v) is str else _dumps(v, inner))
+                for k, v in obj.items()
+            ]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        items = [escape(v) if type(v) is str else _dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(obj, allow_nan=False)
+

@@ -248,7 +248,7 @@ class NumberField(Ring):
         return a * b
 
     def poly_from_rows(self, rows, den: int = 1) -> Poly:
-        """The polynomial (rows, den) over K as a Poly, for output and the
+        """The polynomial (rows, den) over K as a Poly, for text output and the
         exact gcd; every zero row is the one ``zero``."""
         zero = self.zero
         return Poly.make(self, [NFElem(self, r, den) if any(r) else zero for r in rows])

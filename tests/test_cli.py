@@ -78,6 +78,25 @@ class TestSubcommands:
         assert data["product"]["count"] == 3
         assert data["certificate"]["verdict"] == "Verified"
 
+    @pytest.mark.parametrize("cmd", ["factor", "verify-factor"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_factor_builds_only_the_requested_rendering(self, capsys, monkeypatch, cmd, fmt):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"built for --format {fmt}")
+
+        if fmt == "json":
+            monkeypatch.setattr(cli.NumberField, "poly_from_rows", forbidden)
+        else:
+            monkeypatch.setattr(cli.jsonio, "factor_product_json", forbidden)
+            monkeypatch.setattr(cli.jsonio, "certificate_json", forbidden)
+        verify = ["--verify"] if cmd == "factor" else []
+        code, out, err = run_cli(
+            capsys, cmd, "--d", "2", "--gleason-n", "3", "--k", "4", *verify,
+            "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        assert ("verification: Verified" in out) is (fmt == "text")
+
     def test_stability_verified(self, capsys):
         code, out, _ = run_cli(
             capsys, "stability-cert", "--d", "2", "--misiurewicz", "2,1",

@@ -666,3 +666,164 @@ class TestIrreducibilityCerts:
         cert = f_irreducibility_certificate(K23, 2, 3, 5, 1, budget=64)
         assert cert.verdict is Verdict.INCONCLUSIVE
         assert len(calls) == 1
+
+
+def by_expansion(product):
+    """``verify_factorization`` with the telescoping proof switched off: the
+    product is always multiplied out."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factoring, "_telescopes", lambda *_: False)
+        return verify_factorization(product)
+
+
+def verify_counting_expansions(product):
+    """``verify_factorization`` and the number of ``expanded_rows`` calls."""
+    calls = []
+
+    def spy(self):
+        calls.append(self)
+        return expanded_rows(self)
+
+    expanded_rows = FactorProduct.expanded_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FactorProduct, "expanded_rows", spy)
+        return verify_factorization(product), len(calls)
+
+
+def without_period_check(K, d, n, k):
+    """The closed form at a claimed period n that c0 does not have: every
+    factor is the geometric sum, but the orbit relation at n fails."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factoring, "_orbit_relation", lambda *_: True)
+        return iterate_factorization(K, d, n, k)
+
+
+def scaled(e, factor=1, den=1):
+    return replace(e, rows=[[factor * x for x in r] for r in e.rows], den=den)
+
+
+def tampered_products():
+    """{name: (product, telescopes)}: every tampered product of this file,
+    and ones that each step of the telescoping proof must reject."""
+    p3 = iterate_factorization(K22, 2, 2, 3)  # F(2,1), linear^2, F(0,1)^2
+    p4 = iterate_factorization(K23, 2, 3, 4)  # F(3,2), F(2,1), linear^2, F(0,2)^2
+    f21, linear, f01 = p3.entries
+    a, b, lin4, last = p4.entries
+    nonintegral = add_constant((a.rows, a.den), K23.from_rational(Fraction(1, 2)))
+    plus_one = add_constant((f21.rows, 1), K22.one)[0]
+    cases = {
+        # the tampered products of TestFactorization
+        "non-integral": (p4, (replace(a, rows=nonintegral[0], den=nonintegral[1]),
+                              b, lin4, last), False),
+        "zero-factor": (p4, (replace(a, rows=[]), b, lin4, last), False),
+        "common-denominator": (p4, (scaled(a, 2), scaled(b, den=2), lin4, last), True),
+        "duplicated-linear": (p3, (f21, f01, replace(linear, exp=1),
+                                   replace(linear, label="copy", exp=1)), True),
+        "label-filed-twice": (p3, (
+            f21, replace(linear, exp=1), f01,
+            replace(f01, rows=linear.rows, den=linear.den, exp=1)), False),
+        "constant-plus-one": (p3, (replace(f21, rows=plus_one), linear, f01), False),
+        # step 2: a scalar multiple; lambda = 1 over a denominator
+        "den-only": (p4, (scaled(a, 3, den=3), b, lin4, last), True),
+        # step 3: (2 linear)^2 with F(3,2)/4; then lambda^exp multiply to 2
+        "lambda-with-exponent": (p4, (scaled(a, den=4), b, scaled(lin4, 2), last),
+                                 True),
+        "lambda-exponent-missed": (p4, (scaled(a, den=2), b, scaled(lin4, 2), last),
+                                   False),
+        "lambda-product-two": (p4, (scaled(a, 2), b, lin4, last), False),
+        # (linear / 2)^2 with 4 F(3,2), then with 2 F(3,2)
+        "den-with-exponent": (p4, (scaled(a, 4), b, scaled(lin4, den=2), last), True),
+        "den-exponent-missed": (p4, (scaled(a, 2), b, scaled(lin4, den=2), last),
+                                False),
+        # step 4: one exponent changed, one factor dropped
+        "exponent-changed": (p4, (a, b, lin4, replace(last, exp=3)), False),
+        "factor-dropped": (p4, (b, lin4, last), False),
+        # params that name no closed-form factor
+        "label-params": (p4, (replace(a, params=("F", 1)), b, lin4, last), False),
+        "index-zero": (p3, (f21, replace(linear, params=(0,)), f01), False),
+        "m-at-k": (p4, (replace(a, params=(4, 1)), b, lin4, last), False),
+        "m-past-budget": (p4, (replace(a, params=(20, 1)), b, lin4, last), False),
+    }
+    out = {
+        name: (replace(base, entries=entries), telescopes)
+        for name, (base, entries, telescopes) in cases.items()
+    }
+    # step 1: a claimed period that c0 does not have
+    for K, n, k in ((K22, 3, 4), (K23, 2, 3), (K23, 2, 4)):
+        out[f"period-{n}-claimed-k{k}"] = (without_period_check(K, 2, n, k), False)
+    return out
+
+
+TAMPERED = tampered_products()
+
+
+class TestTelescoping:
+    """The telescoping proof of the product identity, against the expansion
+    it replaces (which stays as its fallback)."""
+
+    @pytest.mark.parametrize(
+        "K, d, n, kmax",
+        [(K22, 2, 2, 10), (K23, 2, 3, 10), (K24, 2, 4, 8), (K32, 3, 2, 5),
+         (K52, 5, 2, 4)],
+    )
+    def test_closed_form_telescopes_with_expansion_verdict(self, K, d, n, kmax):
+        for k in range(1, kmax + 1):
+            product = iterate_factorization(K, d, n, k)
+            cert, expansions = verify_counting_expansions(product)
+            assert expansions == 0, (d, n, k)
+            expected = by_expansion(product)
+            assert (cert.verdict, cert.witnesses) == (expected.verdict, expected.witnesses)
+            assert cert.verdict is Verdict.VERIFIED
+
+    @pytest.mark.parametrize("name", list(TAMPERED))
+    def test_tampered_products_match_expansion(self, name):
+        product, telescopes = TAMPERED[name]
+        cert, expansions = verify_counting_expansions(product)
+        expected = by_expansion(product)
+        assert (cert.verdict, cert.witnesses) == (expected.verdict, expected.witnesses)
+        assert expansions == (0 if telescopes else 1)
+        assert factoring._telescopes(product, 4096) is telescopes
+
+    def test_common_denominator_takes_telescoping_route(self):
+        # the product of test_common_denominator_is_carried: 2 F * (F' / 2)
+        product = iterate_factorization(K23, 2, 3, 4)
+        a, b, *rest = product.entries
+        twice = [[2 * x for x in row] for row in a.rows]
+        product = replace(product, entries=(
+            replace(a, rows=twice), replace(b, den=2), *rest
+        ))
+        cert, expansions = verify_counting_expansions(product)
+        assert cert.verdict is Verdict.VERIFIED and expansions == 0
+
+    def test_refutations_keep_their_witnesses(self):
+        steps = {
+            name: [w["step"] for w in verify_factorization(TAMPERED[name][0]).witnesses]
+            for name in ("non-integral", "label-filed-twice", "duplicated-linear",
+                         "period-3-claimed-k4")
+        }
+        assert steps == {
+            "non-integral": ["product-mismatch"],
+            "label-filed-twice": ["product-identity", "label-conflict"],
+            "duplicated-linear": ["product-identity", "common-factor"],
+            "period-3-claimed-k4": ["product-mismatch"],
+        }
+
+    def test_rewrite_rules(self):
+        # S(m, 1) = (f^(m-1))^d only for m >= 1: S(0, 1) = x - c0 stays
+        assert factoring._rewritten({(0, 1): 1, (3, 1): 1, (2, 3): -2}, 3, 2) == {
+            (0, 1): 1,
+        }
+        assert factoring._rewritten({(1, 1): 1, (0, 3): 1}, 3, 3) == {(0, 3): 4}
+
+    def test_k_11_builds_no_f_11(self):
+        # the field keeps f^0, ..., f^10 for the factors; the proof adds none
+        K = nf_new(gleason(2, 3))
+        product = iterate_factorization(K, 2, 3, 11, budget=5000)
+        assert len(K._iterates[2]) == 11
+        cert = verify_factorization(product, budget=5000)
+        assert cert.verdict is Verdict.VERIFIED and len(K._iterates[2]) == 11
+
+    def test_budget_checked_before_telescoping(self):
+        product = iterate_factorization(K23, 2, 3, 5)
+        with pytest.raises(polyring.BudgetExceeded):
+            verify_factorization(product, budget=16)
