@@ -53,6 +53,7 @@ COMMANDS = [
     "f-irred-cert --d 2 --gleason-n 4 --k 5" + J,
     "f-irred-cert --d 3 --gleason-n 2 --k 3" + J,
     "f-irred-cert --d 2 --gleason-n 3 --k 8" + J,
+    "f-irred-cert --d 2 --gleason-n 3 --k 10" + J,
     "f-irred-cert --d 2 --gleason-n 3 --k 5 --i 2" + J,
     # the mod-prime fallback over F_{3^3}: the primary route needs f^4
     "f-irred-cert --d 2 --gleason-n 3 --k 2 --i 1 --budget 8",
