@@ -22,7 +22,7 @@ from .factoring import (
     NotUnit,
     ShapeViolation,
     f_irreducibility_certificate,
-    factor_product_certificates,
+    factor_certificates,
     iterate_factorization,
     stability_certificate,
     verify_factorization,
@@ -347,8 +347,7 @@ def run(argv) -> int:
                 fieldK, args.d, n, args.k, args.i, args.budget
             )
             return _emit_cert(args, cert)
-        product = iterate_factorization(fieldK, args.d, n, args.k, args.budget)
-        certs = factor_product_certificates(product, args.budget)
+        certs = factor_certificates(fieldK, args.d, n, args.k, args.budget)
         worst = max(_VERDICT_EXIT[c.verdict] for c in certs.values())
         _emit(
             args,

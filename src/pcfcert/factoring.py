@@ -60,7 +60,13 @@ Irreducibility and stability certificates replay Eisenstein arguments at a
 prime above d.  The cyclotomic extension L = K(zeta) is never constructed:
 the Eisenstein data at the prime of L is determined by K-expressible facts
 (unit constant term, d-divisible middle coefficients, d unramified in K),
-and those are what the certificate checks and records.
+and those are what the certificate checks and records.  The middle
+coefficients of f^j are read mod d: as g is monic, Z[c]/(g) -> (Z/d)[c]/(g)
+is a ring homomorphism, so iterating f in (Z/d)[c]/(g) (one more chain per
+field) gives the image of each coefficient, and a coefficient is divisible
+by d iff each of its integer coordinates is, iff its residue row is zero.
+The constant f^j(0) is the orbit value a_j, so neither f^j nor F(k, i) is
+built over K on the primary route.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd
+from operator import mul
 
 from .certificates import Certificate, HypothesisUnmet, Verdict
 from .finitefield import fp_gcd
@@ -84,7 +91,6 @@ from .numfield import (
     nf_norm,
     prime_with_valuation,
     residue_ring,
-    residue_rows,
     row_valuation,
     valuation,
 )
@@ -127,7 +133,7 @@ def iterate_rows(
         raise ValueError("iterate index must be >= 0")
     _check_budget(d, k, budget)
     g = fieldK.g.coeffs
-    return _cached_iterate(fieldK, d, d, k, lambda: (g, reduce_monic([0, 1], g), 0))
+    return _cached_iterate(fieldK, d, d, k, lambda: (g, reduce_monic([0, 1], g), 0)).rows()
 
 
 def _check_budget(d: int, k: int, budget: int) -> None:
@@ -139,16 +145,16 @@ def residue_iterate(d: int, k: int, P: PrimeAboveD) -> list[list[int]]:
     """The image of f^k in the residue ring (Z/p^T)[t]/(G) of P, as rows:
     row j holds the residues of the coefficient of x^j (see
     numfield.residue_ring).  Cached per field, under (P, d)."""
-    return _cached_iterate(P.field, (P, d), d, k, lambda: residue_ring(P))
+    return _cached_iterate(P.field, (P, d), d, k, lambda: residue_ring(P)).rows()
 
 
-def _cached_iterate(fieldK: NumberField, key, d: int, k: int, ring) -> list[list[int]]:
+def _cached_iterate(fieldK: NumberField, key, d: int, k: int, ring) -> PackedRows:
     """f^k from the chain fieldK._iterates[key], extended as far as k.
 
     ``ring()`` gives (g, c0, modulus) for the ring (Z/modulus)[c]/(g), or
     Z[c]/(g) when modulus is 0; it is called only to extend the chain.  Each
     f^k is packed into one int, deg g slots per coefficient, and f^(k+1) is
-    the d-th power of the unpacked rows plus c0.  The rows returned are
+    the d-th power of the unpacked rows plus c0.  Its ``rows()`` are
     unpacked afresh, so a caller may overwrite them.
     """
     chain = fieldK._iterates.setdefault(key, [])
@@ -163,7 +169,7 @@ def _cached_iterate(fieldK: NumberField, key, d: int, k: int, ring) -> list[list
             if modulus:
                 rows[0] = [a % modulus for a in rows[0]]
             chain.append(PackedRows.pack(rows, m))
-    return chain[k].rows()
+    return chain[k]
 
 
 @dataclass(frozen=True)
@@ -171,37 +177,34 @@ class IterateForm:
     """f^k = x^(d^k) + M(x) + constant with M = d*x^d*F(x)."""
 
     k: int
-    middle: list  # rows of M, row j the coefficient of x^j (row 0 zero)
     constant: NFElem
     const_index: int  # the orbit index i with constant = (unit) * a_i
     unit_residual: NFElem | None  # preperiodic case: a_k / a_gcd(k, n)
 
 
 def structural_form(
-    fieldK: NumberField,
-    d: int,
-    k: int,
-    typ: ExactType,
-    budget: int = DEFAULT_DEGREE_BUDGET,
+    fieldK: NumberField, d: int, k: int, typ: ExactType, budget: int = DEFAULT_DEGREE_BUDGET
 ) -> IterateForm:
     """Verify the expansion shape of f^k and compute its residual data.
 
     Checks f^k = x^(d^k) + M(x) + const with every coefficient of M divisible
-    by d and no monomials of degree below d.  Periodic: const must equal a_i
-    for i the least positive residue of k mod n (a_n = 0 when n | k).
-    Preperiodic: const = u * a_i with i = gcd(k, n) and u a unit, which is
-    certified on the computed residual.
+    by d, on f^k in (Z/d)[c]/(g) (module docstring); const is f^k(0) = a_k.
+    Periodic: const must equal a_i for i the least positive residue of k mod
+    n (a_n = 0 when n | k).  Preperiodic: const = u * a_i with i = gcd(k, n)
+    and u a unit, which is certified on the computed residual.
     """
     if k < 1:
         raise ValueError("structural_form requires k >= 1")
-    rows = iterate_rows(fieldK, d, k, budget)
-    constant = NFElem(fieldK, rows[0])
-    middle = [[0] * fieldK.degree, *rows[1:-1]]
-    for idx in range(min(d, len(middle))):
-        if any(middle[idx]):
-            raise ShapeViolation(f"middle part has a monomial of degree {idx} < d")
-    if any(x % d for row in middle for x in row):
+    _check_budget(d, k, budget)
+    g = fieldK.g.coeffs
+    f = _cached_iterate(fieldK, ("mod", d), d, k, lambda: (g, reduce_monic([0, 1], g, d), d))
+    width = 8 * f.nbytes * f.stride  # bits per row; every slot is in [0, d)
+    if (f.value >> width) & ((1 << width * (f.count - 2)) - 1):  # a middle row
+        for low, row in enumerate(f.rows()[1:d], 1):  # deg f^k >= d: all middle
+            if any(row):
+                raise ShapeViolation(f"middle part has a monomial of degree {low} < d")
         raise ShapeViolation("middle coefficient not divisible by d")
+    constant = orbit_value(fieldK, d, k)
     n = typ.n
     if typ.kind == "periodic":
         r = k % n
@@ -210,28 +213,15 @@ def structural_form(
             raise ShapeViolation(
                 f"constant of f^{k} is not a_{i} for the periodic parameter"
             )
-        return IterateForm(
-            k=k, middle=middle, constant=constant, const_index=i, unit_residual=None
-        )
+        return IterateForm(k=k, constant=constant, const_index=i, unit_residual=None)
     # preperiodic: constant = a_k = u * a_i, i = gcd(k, n), u a unit
     i = gcd(k, n)
-    a_k = orbit_value(fieldK, d, k)
-    if constant != a_k:
-        raise ShapeViolation(f"constant of f^{k} is not a_{k}")
-    a_i = orbit_value(fieldK, d, i)
-    u = a_k / a_i
+    u = constant / orbit_value(fieldK, d, i)
     if not u.is_integral:
         raise NotIntegral(f"a_{k}/a_{i} is not an algebraic integer")
     if not is_unit(u):
         raise NotUnit(f"a_{k}/a_{i} is not an algebraic unit")
-    return IterateForm(
-        k=k, middle=middle, constant=constant, const_index=i, unit_residual=u
-    )
-
-
-def periodic_orbit_value(fieldK: NumberField, d: int, n: int, j: int) -> NFElem:
-    """a_j(c0) for a period-n parameter, with a_0 = a_n = 0 and index cycling."""
-    return orbit_value(fieldK, d, j % n)
+    return IterateForm(k=k, constant=constant, const_index=i, unit_residual=u)
 
 
 def f_factor(
@@ -251,8 +241,7 @@ def f_factor(
     if not (n >= 2 and k >= 0 and 1 <= i <= n - 1):
         raise ValueError("f_factor requires n >= 2, k >= 0, 1 <= i <= n-1")
     _check_budget(d, k + 1, budget)
-    if not _orbit_relation(fieldK, d, n, i):
-        raise ShapeViolation(f"a_{i + 1} != a_{i}^{d} + c0: c0 is not of period {n}")
+    _require_orbit_relation(fieldK, d, n, i)
     quotient = _geometric_sum(fieldK, d, k, i, budget)
     degree, expected_degree = len(quotient) - 1, d**k * (d - 1)
     if degree != expected_degree or quotient[-1] != [1] + [0] * (fieldK.degree - 1):
@@ -266,7 +255,12 @@ def _orbit_relation(fieldK: NumberField, d: int, n: int, i: int) -> bool:
     """a_(i+1) = a_i^d + c0 with indices cycling mod n.  orbit_value walks
     a_(j+1) = a_j^d + c0, so this holds iff the cycled a_(i+1) is the walked
     one: at i + 1 = n, iff a_n = 0."""
-    return periodic_orbit_value(fieldK, d, n, i + 1) == orbit_value(fieldK, d, i + 1)
+    return orbit_value(fieldK, d, (i + 1) % n) == orbit_value(fieldK, d, i + 1)
+
+
+def _require_orbit_relation(fieldK: NumberField, d: int, n: int, i: int) -> None:
+    if not _orbit_relation(fieldK, d, n, i):
+        raise ShapeViolation(f"a_{i + 1} != a_{i}^{d} + c0: c0 is not of period {n}")
 
 
 def _geometric_sum(fieldK: NumberField, d: int, k: int, i: int, budget: int) -> list:
@@ -282,7 +276,7 @@ def _geometric_sum(fieldK: NumberField, d: int, k: int, i: int, budget: int) -> 
 
 def _linear_rows(fieldK: NumberField, d: int, n: int, j: int) -> list[list[int]]:
     """x - a_j (index cycling mod n) as integer rows."""
-    a, m = periodic_orbit_value(fieldK, d, n, j).num, fieldK.degree
+    a, m = orbit_value(fieldK, d, j % n).num, fieldK.degree
     return [[-v for v in a] + [0] * (m - len(a)), [1] + [0] * (m - 1)]
 
 
@@ -329,39 +323,36 @@ class FactorProduct:
         return heap[0][2], den
 
 
-def iterate_factorization(
-    fieldK: NumberField,
-    d: int,
-    n: int,
-    k: int,
-    budget: int = DEFAULT_DEGREE_BUDGET,
-) -> FactorProduct:
-    """Assemble the closed-form factorization of f^k for a period-n field."""
+def closed_form_factors(
+    fieldK: NumberField, d: int, n: int, k: int, budget: int = DEFAULT_DEGREE_BUDGET
+) -> list[tuple[str, tuple, int]]:
+    """(label, params, exp) of each factor of f^k in the closed form, in
+    order; params are (m, i) for F(m, i) and (orbit index,) for the linear
+    factor.  Raises up front what building the factors would: deg f^k past
+    the budget, or an orbit relation a factor needs that fails."""
     if n < 2 or k < 1:
         raise ValueError("requires n >= 2 and k >= 1")
+    _check_budget(d, k, budget)
     q, r = divmod(k, n)
+    out = [(k - n * j - i, n - i, d**j) for j in range(q) for i in range(1, n)]
+    out += [(None, n - r, d**q)] + [(r - i, n - i, d**q) for i in range(1, r + 1)]
+    for m, i, _ in out:
+        if m is not None:
+            _require_orbit_relation(fieldK, d, n, i)
+    return [("linear", (i,), e) if m is None else (f"F({m},{i})", (m, i), e) for m, i, e in out]
+
+
+def iterate_factorization(
+    fieldK: NumberField, d: int, n: int, k: int, budget: int = DEFAULT_DEGREE_BUDGET
+) -> FactorProduct:
+    """Assemble the closed-form factorization of f^k for a period-n field."""
     entries = []
-    for j in range(q):
-        for i in range(1, n):
-            entries.append(
-                FactorEntry(
-                    label=f"F({k - n * j - i},{n - i})",
-                    rows=f_factor(fieldK, d, n, k - n * j - i, n - i, budget),
-                    exp=d**j,
-                    params=(k - n * j - i, n - i),
-                )
-            )
-    linear = _linear_rows(fieldK, d, n, n - r)
-    entries.append(FactorEntry(label="linear", rows=linear, exp=d**q, params=(n - r,)))
-    for i in range(1, r + 1):
-        entries.append(
-            FactorEntry(
-                label=f"F({r - i},{n - i})",
-                rows=f_factor(fieldK, d, n, r - i, n - i, budget),
-                exp=d**q,
-                params=(r - i, n - i),
-            )
-        )
+    for label, params, exp in closed_form_factors(fieldK, d, n, k, budget):
+        if label == "linear":
+            rows = _linear_rows(fieldK, d, n, *params)
+        else:
+            rows = f_factor(fieldK, d, n, *params, budget)
+        entries.append(FactorEntry(label, rows, exp, params))
     product = FactorProduct(field=fieldK, d=d, n=n, k=k, entries=tuple(entries))
     total = sum(e.exp * (len(e.rows) - 1) for e in product.entries)
     if total != d**k:
@@ -374,11 +365,15 @@ COPRIME_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 def _image_mod(poly, P: PrimeAboveD) -> list[int] | None:
     """poly = (rows, den) over K reduced at the residue-degree-1 prime P, as
-    residues mod p; None when p divides den or the degree drops."""
-    try:
-        image = [row[0] for row in residue_rows(poly, P)]
-    except ValueError:
+    residues mod p: each row evaluated at the root of P's linear factor.
+    None when p divides den or the degree drops."""
+    (rows, den), p = poly, P.p
+    if den % p == 0:
         return None
+    root = -P.lifted_factor.coeffs[0] % p
+    powers = [pow(root, j, p) for j in range(P.field.degree)]
+    inv = pow(den, -1, p)
+    image = [sum(map(mul, row, powers)) * inv % p for row in rows]
     return image if image and image[-1] else None
 
 
@@ -659,12 +654,7 @@ def stability_certificate(
 
 
 def f_irreducibility_certificate(
-    fieldK: NumberField,
-    d: int,
-    n: int,
-    k: int,
-    i: int,
-    budget: int = DEFAULT_DEGREE_BUDGET,
+    fieldK: NumberField, d: int, n: int, k: int, i: int, budget: int = DEFAULT_DEGREE_BUDGET
 ) -> Certificate:
     """Certify irreducibility of F(k, i) over K.
 
@@ -678,9 +668,7 @@ def f_irreducibility_certificate(
     of K, flagged as the mod-prime route.
     """
     if not (n >= 2 and k >= 0 and 1 <= i <= n - 1):
-        raise ValueError(
-            "f_irreducibility_certificate requires n >= 2, k >= 0, 1 <= i <= n-1"
-        )
+        raise ValueError("f_irreducibility_certificate requires n >= 2, k >= 0, 1 <= i <= n-1")
     cert = Certificate(
         claim=f"irreducible(F({k},{i}), d={d}, n={n})",
         verdict=Verdict.INCONCLUSIVE,
@@ -693,10 +681,9 @@ def f_irreducibility_certificate(
         primary_ok = False
         cert.diagnose(f"d = {d} divides disc(g): unramifiedness unavailable")
     a_i = orbit_value(fieldK, d, i)
-    if primary_ok:
-        if not a_i.is_integral or not is_unit(a_i):
-            primary_ok = False
-            cert.diagnose(f"a_{i}(c0) is not an algebraic unit")
+    if primary_ok and not (a_i.is_integral and abs(norm := nf_norm(a_i)) == 1):
+        primary_ok = False
+        cert.diagnose(f"a_{i}(c0) is not an algebraic unit")
     if primary_ok:
         try:
             form = structural_form(fieldK, d, m + k, typ, budget)
@@ -710,7 +697,7 @@ def f_irreducibility_certificate(
     if primary_ok:
         cert.verdict = Verdict.VERIFIED
         cert.witness("unramified", p=d, disc_mod_d=int(fieldK.disc_g % d != 0))
-        cert.witness("unit-constant", index=i, norm=str(nf_norm(a_i)))
+        cert.witness("unit-constant", index=i, norm=str(norm))
         cert.witness(
             "eisenstein-shape",
             iterate=m + k,
@@ -744,29 +731,18 @@ def f_irreducibility_certificate(
     return cert
 
 
-def linear_factor_certificate(fieldK: NumberField, label_params: tuple) -> Certificate:
-    """Degree-1 factors are irreducible; recorded for uniform reporting."""
-    cert = Certificate(
-        claim=f"irreducible(linear, a_{label_params[0]})",
-        verdict=Verdict.VERIFIED,
-        taint=fieldK.assumed,
-    )
-    cert.witness("degree-one", index=label_params[0])
-    return cert
-
-
-def factor_product_certificates(
-    product: FactorProduct, budget: int = DEFAULT_DEGREE_BUDGET
+def factor_certificates(
+    fieldK: NumberField, d: int, n: int, k: int, budget: int = DEFAULT_DEGREE_BUDGET
 ) -> dict[str, Certificate]:
-    """Irreducibility certificate for every distinct factor in a product."""
+    """Irreducibility certificate for every distinct factor of f^k, from the
+    closed form's labels and params; no factor is built on the primary
+    route.  Raises what ``iterate_factorization`` raises."""
     out: dict[str, Certificate] = {}
-    for e in product.entries:
-        if e.label in out:
-            continue
-        if e.label == "linear":
-            out[e.label] = linear_factor_certificate(product.field, e.params)
-        else:
-            out[e.label] = f_irreducibility_certificate(
-                product.field, product.d, product.n, e.params[0], e.params[1], budget
-            )
+    for label, params, _ in closed_form_factors(fieldK, d, n, k, budget):
+        if label == "linear":  # degree 1: recorded for uniform reporting
+            claim = f"irreducible(linear, a_{params[0]})"
+            out[label] = Certificate(claim, Verdict.VERIFIED, taint=fieldK.assumed)
+            out[label].witness("degree-one", index=params[0])
+        elif label not in out:
+            out[label] = f_irreducibility_certificate(fieldK, d, n, *params, budget)
     return out

@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from typing import NamedTuple
 
 from .certificates import Certificate
 from .numfield import NFElem, NumberField
@@ -47,20 +48,36 @@ def field_json(fieldK: NumberField) -> dict:
     return {"g": poly_json(fieldK.g, "c")}
 
 
-def _rows_json(rows, den: int) -> dict:
-    """poly_json of (rows, den) over K, straight from the rows (deg g
-    entries): each coefficient in the bytes element_json gives its NFElem."""
+class RowsPoly(NamedTuple):
+    """A polynomial (rows, den) over K (rows of deg g entries), written by
+    ``dumps`` in the shared format straight from its rows: each coefficient
+    in the bytes element_json gives its NFElem."""
+
+    rows: list
+    den: int
+
+
+def _rows_text(poly: RowsPoly, newline: str) -> str:
+    """The indented text of ``poly`` (den > 0) at the level ``newline``
+    opens."""
+    n1, n2, n3, n4, n5 = (newline + "  " * j for j in range(1, 6))
+    head = "{" + n3 + '"num": {' + n4 + '"var": "c",' + n4 + '"coeffs": '
+    sep = '",' + n5 + '"'
+    rows = list(poly.rows)
+    while rows and not any(rows[-1]):
+        rows.pop()
     coeffs = []
     for row in rows:
-        num = list(row)
+        num, den = list(row), poly.den
         while num and not num[-1]:
             num.pop()
-        shared = gcd(den, *num) if den > 0 else -gcd(den, *num)
-        num = {"var": "c", "coeffs": [str(v // shared) for v in num]}
-        coeffs.append({"num": num, "den": str(den // shared)})
-    while coeffs and not coeffs[-1]["num"]["coeffs"]:
-        coeffs.pop()
-    return {"var": "x", "coeffs": coeffs}
+        if den != 1:
+            shared = gcd(den, *num)
+            num, den = [v // shared for v in num], den // shared
+        text = "[" + n5 + '"' + sep.join(map(str, num)) + '"' + n4 + "]" if num else "[]"
+        coeffs.append(head + text + n3 + "}," + n3 + '"den": "' + str(den) + '"' + n2 + "}")
+    body = "[" + n2 + ("," + n2).join(coeffs) + n1 + "]" if coeffs else "[]"
+    return "{" + n1 + '"var": "x",' + n1 + '"coeffs": ' + body + newline + "}"
 
 
 def factor_product_json(product) -> dict:
@@ -72,7 +89,7 @@ def factor_product_json(product) -> dict:
         "factors": [
             {
                 "label": e.label,
-                "poly": _rows_json(e.rows, e.den),
+                "poly": RowsPoly(e.rows, e.den),
                 "exp": e.exp,
             }
             for e in product.entries
@@ -136,15 +153,17 @@ def dumps(obj) -> str:
     """Stable rendering: fixed separators, preserved key order, no NaN.
 
     The bytes of json.dumps(obj, indent=2, allow_nan=False) for str keys,
-    written here because any indent sends json to its pure-Python encoder:
-    strings go through json's C escaper, other scalars and empty containers
-    through json.dumps."""
+    with each RowsPoly in its shared format, written here because any indent
+    sends json to its pure-Python encoder: strings go through json's C
+    escaper, other scalars and empty containers through json.dumps."""
     return _dumps(obj, "\n")
 
 
 def _dumps(obj, newline: str) -> str:
     """``obj`` at the nesting level that ``newline`` (a newline and the
     indent) opens; a str item is escaped in place, without a call."""
+    if type(obj) is RowsPoly:
+        return _rows_text(obj, newline)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, (dict, list, tuple)) and obj:

@@ -230,10 +230,11 @@ class NumberField(Ring):
         self.zero = NFElem(self, ())
         self.one = NFElem(self, (1,))
         self._primes_cache: dict[tuple[int, int], tuple] = {}
-        # d (over Z[c]/(g)) or (P, d) (in the residue ring of P) -> [f^0,
-        # f^1, ...] for f = x^d + c0, each f^k packed into one int (see
-        # factoring.iterate_rows); ints, not NFElems, so a field kept for
-        # many requests holds little memory
+        self._residue_fields: dict = {}  # PrimeAboveD -> O_K/P (residue_field)
+        # d (over Z[c]/(g)), ("mod", d) (over (Z/d)[c]/(g)) or (P, d) (in the
+        # residue ring of P) -> [f^0, f^1, ...] for f = x^d + c0, each f^k
+        # packed into one int (see factoring.iterate_rows); ints, not
+        # NFElems, so a field kept for many requests holds little memory
         self._iterates: dict = {}
         self._orbits: dict[int, list] = {}  # d -> [a_0, a_1, ...] (orbits.orbit_value)
 
@@ -661,11 +662,15 @@ def valuation(x: NFElem, P: PrimeAboveD) -> Valuation:
 
 
 def residue_field(P: PrimeAboveD):
-    """O_K/P as a PrimeField or ExtField."""
-    Fp = PrimeField(P.p)
-    if P.backend == "B" or P.residue_degree == 1:
-        return Fp
-    return ExtField(P.p, Poly.from_ints(Fp, list(P.lifted_factor.coeffs)))
+    """O_K/P as a PrimeField or ExtField, built once per prime and kept by
+    its field: an ExtField runs Rabin's test on the lifted factor."""
+    cache = P.field._residue_fields
+    if P not in cache:
+        F = PrimeField(P.p)
+        if P.backend == "A" and P.residue_degree > 1:
+            F = ExtField(P.p, Poly.from_ints(F, list(P.lifted_factor.coeffs)))
+        cache[P] = F
+    return cache[P]
 
 
 def residue_rows(poly, P: PrimeAboveD) -> list[list[int]]:
@@ -682,6 +687,6 @@ def residue_rows(poly, P: PrimeAboveD) -> list[list[int]]:
 
 def reduce_poly_mod_prime(poly, P: PrimeAboveD) -> Poly:
     """poly = (rows, den) over K reduced coefficient-wise into the residue field."""
-    F = residue_field(P)  # built once: ExtField re-checks irreducibility
+    F = residue_field(P)
     rows = residue_rows(poly, P)
     return Poly.make(F, [row[0] if F.degree == 1 else tuple(row) for row in rows])

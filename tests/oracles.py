@@ -8,14 +8,17 @@ any Ring adapter whose exact division works (Z, number fields, Z[c] through
 The package holds a polynomial over K as (rows, den); the rest of this file
 keeps the Poly-over-K paths that form replaced, as oracles: the exact
 division that defines F(k, i), the structural form read off ``iterate``, and
-the resultant of two Polys over K.
+the resultant of two Polys over K.  ``structural_form_on_rows`` is the
+structural form read off the exact rows of f^k, which the package replaced
+by residues mod d.
 """
 
 from math import gcd, lcm
 
-from pcfcert.factoring import NotUnit, ShapeViolation, iterate, periodic_orbit_value
+from pcfcert import factoring
+from pcfcert.factoring import NotUnit, ShapeViolation, iterate
 from pcfcert.numfield import NFElem, NotIntegral, is_unit
-from pcfcert.orbits import orbit_value
+from pcfcert.orbits import DEFAULT_DEGREE_BUDGET, orbit_value
 from pcfcert.polyring import Poly, Ring, ZZ, resultant_rows, ring_pow
 
 
@@ -135,9 +138,10 @@ def expand(product) -> Poly:
 
 
 def f_factor_by_division(K, d: int, n: int, k: int, i: int) -> Poly:
-    """F(k, i) by its definition, (f^{k+1} - a_{i+1}) / (f^k - a_i)."""
-    numer = iterate(K, d, k + 1) - Poly.constant(K, periodic_orbit_value(K, d, n, i + 1))
-    denom = iterate(K, d, k) - Poly.constant(K, periodic_orbit_value(K, d, n, i))
+    """F(k, i) by its definition, (f^{k+1} - a_{i+1}) / (f^k - a_i), orbit
+    indices cycling mod n."""
+    numer = iterate(K, d, k + 1) - Poly.constant(K, orbit_value(K, d, (i + 1) % n))
+    denom = iterate(K, d, k) - Poly.constant(K, orbit_value(K, d, i % n))
     return numer.exact_div(denom)
 
 
@@ -160,6 +164,39 @@ def structural_form_on_poly(K, d: int, k: int, typ) -> tuple:
         i = r if r else n
         expected = K.zero if r == 0 else orbit_value(K, d, i)
         if constant != expected:
+            raise ShapeViolation(f"constant of f^{k} is not a_{i} for the periodic parameter")
+        return middle, constant, i, None
+    i = gcd(k, n)
+    a_k = orbit_value(K, d, k)
+    if constant != a_k:
+        raise ShapeViolation(f"constant of f^{k} is not a_{k}")
+    u = a_k / orbit_value(K, d, i)
+    if not u.is_integral:
+        raise NotIntegral(f"a_{k}/a_{i} is not an algebraic integer")
+    if not is_unit(u):
+        raise NotUnit(f"a_{k}/a_{i} is not an algebraic unit")
+    return middle, constant, i, u
+
+
+def structural_form_on_rows(K, d: int, k: int, typ, budget: int = DEFAULT_DEGREE_BUDGET) -> tuple:
+    """The structural form read off the exact rows of f^k
+    (``factoring.iterate_rows``): (middle rows, row 0 zeroed; constant;
+    constant index; unit residual), or the exception of a failed check."""
+    if k < 1:
+        raise ValueError("structural_form requires k >= 1")
+    rows = factoring.iterate_rows(K, d, k, budget)
+    constant = NFElem(K, rows[0])
+    middle = [[0] * K.degree, *rows[1:-1]]
+    for idx in range(min(d, len(middle))):
+        if any(middle[idx]):
+            raise ShapeViolation(f"middle part has a monomial of degree {idx} < d")
+    if any(x % d for row in middle for x in row):
+        raise ShapeViolation("middle coefficient not divisible by d")
+    n = typ.n
+    if typ.kind == "periodic":
+        r = k % n
+        i = r if r else n
+        if constant != orbit_value(K, d, r):
             raise ShapeViolation(f"constant of f^{k} is not a_{i} for the periodic parameter")
         return middle, constant, i, None
     i = gcd(k, n)

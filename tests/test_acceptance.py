@@ -13,7 +13,7 @@ from oracles import expand
 from pcfcert.certificates import HypothesisUnmet, Verdict
 from pcfcert.cli import main
 from pcfcert.factoring import (
-    factor_product_certificates,
+    factor_certificates,
     iterate,
     iterate_factorization,
     stability_certificate,
@@ -94,8 +94,8 @@ def test_criterion_4_irreducibility_certificates(fields):
     fallbacks = 0
     total = 0
     for d, n, K, kmax in cases:
-        product = iterate_factorization(K, d, n, kmax)
-        certs = factor_product_certificates(product)
+        certs = factor_certificates(K, d, n, kmax)
+        assert len(certs) == kmax - kmax // n + 1
         for label, cert in certs.items():
             total += 1
             assert cert.verdict is Verdict.VERIFIED, (d, n, label, cert.diagnostics)

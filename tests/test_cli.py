@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from pcfcert import cli, finitefield, orbits
+from pcfcert import cli, factoring, finitefield, orbits
 from pcfcert.cli import main, parse_scalar_literal, UsageError
 from pcfcert.factoring import NotUnit, ShapeViolation
 from pcfcert.numfield import NotIntegral, nf_new
@@ -111,6 +111,21 @@ class TestSubcommands:
         )
         assert code == 2 and "hypothesis unmet" in err
 
+    @pytest.mark.parametrize("index", [(), ("--i", "1"), ("--i", "2")])
+    def test_f_irred_cert_builds_no_exact_rows(self, capsys, monkeypatch, index):
+        # the primary route reads residues mod d and orbit values only
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact rows built")
+
+        monkeypatch.setattr(factoring, "f_factor", forbidden)
+        monkeypatch.setattr(factoring, "iterate_rows", forbidden)
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(
+                capsys, "f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "10",
+                *index, "--format", fmt,
+            )
+            assert (code, err) == (0, "") and "Verified" in out
+
     def test_f_irred_cert(self, capsys):
         code, out, _ = run_cli(
             capsys, "f-irred-cert", "--d", "2", "--gleason-n", "2", "--k", "2", "--i", "1"
@@ -169,6 +184,32 @@ class TestErrors:
             "--budget", "1024",
         )
         assert code == 4
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_all_factors_budget_exit_4(self, capsys, fmt):
+        # refused up front, as building f^13's factors was, not by the
+        # mod-prime fallback of each certificate
+        code, out, err = run_cli(
+            capsys, "f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "13",
+            "--format", fmt,
+        )
+        assert (code, out) == (4, "")
+        assert err == "unsupported: deg f^13 = 2^13 exceeds budget 4096\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (("--k", "4"), 1,
+             "refuted (falsified identity): a_3 != a_2^2 + c0: c0 is not of period 3\n"),
+            (("--k", "0"), 3, "error: requires n >= 2 and k >= 1\n"),
+        ],
+    )
+    @pytest.mark.parametrize("cmd", ["factor", "f-irred-cert"])
+    def test_all_factors_raise_like_the_product(self, capsys, monkeypatch, cmd, argv,
+                                               code, err):
+        # c0 = -1 has period 2, so the claimed period 3 breaks a_3 = a_2^2 + c0
+        monkeypatch.setattr(cli, "_period_of", lambda args, fieldK: 3)
+        assert run_cli(capsys, cmd, "--d", "2", "--gleason-n", "2", *argv) == (code, "", err)
 
     def test_disc_check_budget_exit_4(self, capsys):
         # d^k = 2^40 exceeds the default budget: refused before any arithmetic

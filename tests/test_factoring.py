@@ -1,5 +1,6 @@
 """Iterate factorization and the certificate routes built on it."""
 
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import as_rows, expand, f_factor_by_division
+from oracles import as_rows, expand, f_factor_by_division, structural_form_on_rows
 from pcfcert import factoring, numfield, polyring
 from pcfcert.certificates import HypothesisUnmet, Verdict
 from pcfcert.factoring import (
@@ -21,7 +22,7 @@ from pcfcert.factoring import (
     eisenstein_certificate,
     f_factor,
     f_irreducibility_certificate,
-    factor_product_certificates,
+    factor_certificates,
     iterate,
     iterate_eisenstein_certificate,
     iterate_factorization,
@@ -38,9 +39,11 @@ from pcfcert.numfield import (
     Valuation,
     add_constant,
     nf_new,
+    nf_norm,
     primes_above,
     reduce_poly_mod_prime,
     residue_ring,
+    residue_rows,
     row_valuation,
     valuation,
 )
@@ -128,9 +131,9 @@ class TestStructuralForm:
 
     def test_middle_divisible_by_d(self):
         typ = exact_type(K32, 3)
-        form = structural_form(K32, 3, 3, typ)
-        assert len(form.middle) == 3**3
-        for row in form.middle:
+        middle, *_ = structural_form_on_rows(K32, 3, 3, typ)
+        assert len(middle) == 3**3
+        for row in middle:
             assert all(x % 3 == 0 for x in row)
 
     def test_preperiodic_unit_residual(self):
@@ -287,6 +290,13 @@ class TestFactorization:
             for e in iterate_factorization(K, d, n, k).entries:
                 image = factoring._image_mod((e.rows, e.den), P)
                 assert image == list(reduce_poly_mod_prime((e.rows, e.den), P).coeffs)
+        # over a denominator: one evaluation per row against residue_rows
+        for K, d, n, p in ((K23, 2, 3, 5), (K24, 2, 4, 13), (K32, 3, 2, 5)):
+            P = next(P for P in primes_above(K, p) if P.residue_degree == 1)
+            for e in iterate_factorization(K, d, n, 4).entries:
+                for rows, den in ((e.rows, e.den), ([[-7 * x for x in r] for r in e.rows], 3)):
+                    expected = [row[0] for row in residue_rows((rows, den), P)]
+                    assert factoring._image_mod((rows, den), P) == expected
         # no image when a coefficient has a pole at P or the degree drops
         P = next(P for P in primes_above(K23, 5) if P.residue_degree == 1)
         x = Poly.x(K23)
@@ -630,8 +640,10 @@ class TestIrreducibilityCerts:
 
     def test_all_factors_of_products(self):
         for d, n, K, k in ((2, 2, K22, 5), (2, 3, K23, 4), (3, 2, K32, 3)):
-            product = iterate_factorization(K, d, n, k)
-            certs = factor_product_certificates(product)
+            certs = factor_certificates(K, d, n, k)
+            assert sorted(certs) == sorted(
+                {e.label for e in iterate_factorization(K, d, n, k).entries}
+            )
             for label, cert in certs.items():
                 assert cert.verdict is Verdict.VERIFIED, (d, n, k, label)
 
@@ -653,6 +665,36 @@ class TestIrreducibilityCerts:
         ]
         (P,) = primes_above(K23, 3)
         assert len(factor(reduce_poly_mod_prime((f_factor(K23, 2, 3, 2, 1), 1), P))) == 1
+
+    def test_all_factors_raise_like_iterate_factorization(self):
+        # budget first, then the first failing orbit relation, as building
+        # the product does
+        for K, n, k, budget in ((K23, 3, 5, 16), (K22, 3, 4, 4096), (K22, 3, 2, 4096),
+                                (K23, 3, 0, 4096), (K23, 1, 2, 4096)):
+            with pytest.raises(Exception) as built:
+                iterate_factorization(K, 2, n, k, budget)
+            with pytest.raises(built.type, match=f"^{re.escape(str(built.value))}$"):
+                factor_certificates(K, 2, n, k, budget)
+
+    def test_primary_route_builds_no_exact_rows(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact rows built")
+
+        norms = []
+
+        def counted(x):
+            norms.append(x)
+            return nf_norm(x)
+
+        monkeypatch.setattr(factoring, "f_factor", forbidden)
+        monkeypatch.setattr(factoring, "iterate_rows", forbidden)
+        monkeypatch.setattr(factoring, "nf_norm", counted)
+        for d, n, K, k in ((2, 3, K23, 10), (2, 4, K24, 8), (3, 2, K32, 5)):
+            certs = factor_certificates(K, d, n, k)
+            assert {c.verdict for c in certs.values()} == {Verdict.VERIFIED}
+            # one norm per certificate of an F(m, i)
+            assert len(norms) == len(certs) - 1
+            norms.clear()
 
     def test_fallback_builds_the_factor_once(self, monkeypatch):
         calls = []

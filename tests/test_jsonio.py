@@ -20,8 +20,35 @@ from pcfcert.orbits import gleason
 from test_golden import COMMANDS
 
 
+def rows_json(rows, den: int) -> dict:
+    """The shared format of (rows, den) over K as a dict, one coefficient at
+    a time: the oracle of ``jsonio.RowsPoly``."""
+    coeffs = []
+    for row in rows:
+        num = list(row)
+        while num and not num[-1]:
+            num.pop()
+        shared = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        num = {"var": "c", "coeffs": [str(v // shared) for v in num]}
+        coeffs.append({"num": num, "den": str(den // shared)})
+    while coeffs and not coeffs[-1]["num"]["coeffs"]:
+        coeffs.pop()
+    return {"var": "x", "coeffs": coeffs}
+
+
+def plain(obj):
+    """``obj`` with every RowsPoly replaced by its ``rows_json`` dict."""
+    if isinstance(obj, jsonio.RowsPoly):
+        return rows_json(obj.rows, obj.den)
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
+
+
 def reference(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False)
+    return json.dumps(plain(obj), indent=2, allow_nan=False)
 
 
 def golden_objects():
@@ -109,14 +136,37 @@ def test_factor_coefficients_match_element_json(d, n, k):
             ([[-x for x in r] for r in e.rows], 3),
             (e.rows + [[0] * m, [0] * m], 1),
         ):
-            assert jsonio._rows_json(rows, den) == {
+            assert rows_json(rows, den) == {
                 "var": "x", "coeffs": element_coeffs(K, rows, den)
             }, (d, n, k, e.label, den)
-        poly = jsonio.factor_product_json(replace(product, entries=(e,)))["factors"][0]
-        assert poly["poly"]["coeffs"] == element_coeffs(K, e.rows, e.den)
+            poly = jsonio.RowsPoly(rows, den)
+            assert jsonio.dumps(poly) == reference(poly), (d, n, k, e.label, den)
+        obj = jsonio.factor_product_json(replace(product, entries=(e,)))
+        poly = json.loads(jsonio.dumps(obj))["factors"][0]["poly"]
+        assert poly["coeffs"] == element_coeffs(K, e.rows, e.den)
 
 
 def test_zero_row_encoding():
-    assert jsonio._rows_json([[0, 0], [5, 0]], 5)["coeffs"][0] == {
+    poly = jsonio.RowsPoly([[0, 0], [5, 0]], 5)
+    assert json.loads(jsonio.dumps(poly))["coeffs"][0] == {
         "num": {"var": "c", "coeffs": []}, "den": "1"
     }
+    for rows in ([], [[0, 0]], [[0, 0], [0, 0]]):
+        assert jsonio.dumps(jsonio.RowsPoly(rows, 3)) == '{\n  "var": "x",\n  "coeffs": []\n}'
+
+
+ROWS = st.lists(
+    st.lists(st.integers(-(2**70), 2**70) | st.sampled_from([0, 0, 1]), min_size=3,
+             max_size=3),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rows=ROWS, den=st.integers(1, 60), depth=st.integers(0, 3))
+def test_rows_poly_matches_json_module(rows, den, depth):
+    # at any nesting level, as a dict value and as a list item
+    obj = jsonio.RowsPoly(rows, den)
+    for _ in range(depth):
+        obj = {"poly": obj, "more": [obj, "x"]}
+    assert jsonio.dumps(obj) == reference(obj)

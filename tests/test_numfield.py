@@ -1,5 +1,7 @@
 """Number field arithmetic, valuations, and irreducibility certification."""
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from oracles import as_rows, prs_resultant
 from pcfcert import numfield
 from pcfcert.certificates import HypothesisUnmet, Unsupported, Verdict
-from pcfcert.finitefield import factor
+from pcfcert.cli import main
+from pcfcert.finitefield import ExtField, factor
 from pcfcert.numfield import (
     NFElem,
     NotIntegral,
@@ -514,6 +517,31 @@ class TestValuation:
 
 
 class TestResidue:
+    def test_residue_field_built_once_per_prime(self, monkeypatch):
+        # Rabin's test on the lifted factor runs once per prime, not per call
+        built = []
+        init = ExtField.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ExtField, "__init__", counted)
+        K = field([1, 1, 2, 1])
+        for _ in range(3):
+            fields = [residue_field(P) for P in primes_above(K, 5)]
+            assert all(residue_field(P) is F for P, F in zip(primes_above(K, 5), fields))
+        assert [F.degree for F in fields] == [1, 2] and len(built) == 1
+        # a repeated request on a kept field builds none
+        argv = ["nonabelian-cert", "--d", "2", "--gleason-n", "3", "--case", "periodic-2",
+                "--alpha", "0"]
+        counts = []
+        for _ in range(3):
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            counts.append(len(built))
+        assert counts[0] > 1 and counts[0] == counts[2]
+
     def test_reduction_is_homomorphic(self):
         for g, p, idx in (
             ([1, 1, 2, 1], 5, 0),  # backend A, f = 1

@@ -14,6 +14,7 @@ from oracles import (
     poly_discriminant,
     relative_norm_on_poly,
     structural_form_on_poly,
+    structural_form_on_rows,
 )
 from pcfcert import factoring
 from pcfcert.certificates import Certificate, Verdict
@@ -35,8 +36,8 @@ from pcfcert.obstructions import (
     nonabelian_certificate,
     relative_norm,
 )
-from pcfcert.orbits import exact_type, gleason, misiurewicz, orbit_value
-from pcfcert.polyring import Poly
+from pcfcert.orbits import ExactType, exact_type, gleason, misiurewicz, orbit_value
+from pcfcert.polyring import PackedRows, Poly
 
 K22 = nf_new(gleason(2, 2))
 K23 = nf_new(gleason(2, 3))
@@ -160,6 +161,63 @@ class TestAgainstPolyOracles:
         for k in range(1, kmax + 1):
             assert form_outcome(K, d, k, typ) == oracle_outcome(K, d, k, typ), (typ, k)
 
+    @pytest.mark.parametrize("K, d, kmax", ALL_FIELDS)
+    def test_lean_structural_form(self, K, d, kmax):
+        # residues mod d and orbit values against the exact rows of f^k
+        typ = exact_type(K, d)
+        for k in range(1, kmax + 1):
+            exact = oracle_outcome(K, d, k, typ, structural_form_on_rows)
+            assert lean_outcome(K, d, k, typ) == without_middle(exact), (typ, k)
+            assert mod_d_rows(K, d, k) == [
+                [x % d for x in row] for row in iterate_rows(K, d, k)
+            ], (typ, k)
+
+    @pytest.mark.parametrize("K, d, kmax", ALL_FIELDS)
+    def test_lean_structural_form_at_claimed_types(self, K, d, kmax):
+        # a claimed type the field may not have: the constant checks and the
+        # unit residual fail alike (ShapeViolation, NotUnit, a zero a_i)
+        for kind, m in (("periodic", 0), ("preperiodic", 2)):
+            for n in (1, 2, 3, 5):
+                typ = ExactType(kind=kind, n=n, m=m, witness=())
+                for k in range(1, kmax + 1):
+                    exact = oracle_outcome(K, d, k, typ, structural_form_on_rows)
+                    assert lean_outcome(K, d, k, typ) == without_middle(exact), (typ, k)
+
+    @pytest.mark.parametrize(
+        "row, entry, delta",
+        [(1, 0, 1), (2, 0, 1), (3, 0, 1), (3, -1, 1), (5, 0, 1), (-2, 0, 1)],
+        ids=["degree-1", "not-divisible", "odd-middle", "last-entry", "row-5", "top-middle"],
+    )
+    @pytest.mark.parametrize("K, d", [(K23, 2), (KM21, 2), (K32, 3), (KQ4, 3)])
+    def test_tampered_residues_fail_like_exact_rows(
+        self, monkeypatch, K, d, row, entry, delta
+    ):
+        # the same change to f^3, in its exact rows and in its rows mod d
+        typ = exact_type(K, d)
+        cached = factoring._cached_iterate
+
+        def tampered_mod_d(fieldK, key, d_, k, ring):
+            packed = cached(fieldK, key, d_, k, ring)
+            if key != ("mod", d_) or k != 3:
+                return packed
+            rows = packed.rows()
+            rows[row][entry] = (rows[row][entry] + delta) % d_
+            return PackedRows.pack(rows, packed.stride)
+
+        with monkeypatch.context() as m:
+            m.setattr(factoring, "_cached_iterate", tampered_mod_d)
+            lean = lean_outcome(K, d, 3, typ)
+
+        def tampered(fieldK, d_, k, *rest):
+            rows = iterate_rows(fieldK, d_, k, *rest)
+            rows[row][entry] += delta
+            return rows
+
+        monkeypatch.setattr(factoring, "iterate_rows", tampered)
+        exact = oracle_outcome(K, d, 3, typ, structural_form_on_rows)
+        assert lean == without_middle(exact)
+        assert issubclass(lean[0], ShapeViolation)
+
     @pytest.mark.parametrize(
         "row, entry, delta",
         [(1, 0, 2), (2, 0, 1), (3, 0, 1), (2, 0, 2), (0, 0, 1)],
@@ -229,16 +287,40 @@ class TestAgainstPolyOracles:
 
 
 def form_outcome(K, d, k, typ):
+    """The exact rows oracle, its middle as a Poly."""
+    outcome = oracle_outcome(K, d, k, typ, structural_form_on_rows)
+    if isinstance(outcome[0], type):
+        return outcome
+    middle, *rest = outcome
+    return (K.poly_from_rows(middle), *rest)
+
+
+FAILURES = (ShapeViolation, NotIntegral, NotUnit, ZeroDivisionError)
+
+
+def oracle_outcome(K, d, k, typ, oracle=structural_form_on_poly):
+    try:
+        return oracle(K, d, k, typ)
+    except FAILURES as exc:
+        return type(exc), str(exc)
+
+
+def lean_outcome(K, d, k, typ):
+    """The package's structural form: (constant, constant index, unit
+    residual), or (exception type, message)."""
     try:
         form = structural_form(K, d, k, typ)
-    except (ShapeViolation, NotIntegral, NotUnit) as exc:
+    except FAILURES as exc:
         return type(exc), str(exc)
-    middle = K.poly_from_rows(form.middle)
-    return middle, form.constant, form.const_index, form.unit_residual
+    return form.constant, form.const_index, form.unit_residual
 
 
-def oracle_outcome(K, d, k, typ):
-    try:
-        return structural_form_on_poly(K, d, k, typ)
-    except (ShapeViolation, NotIntegral, NotUnit) as exc:
-        return type(exc), str(exc)
+def without_middle(outcome):
+    """An oracle outcome as ``lean_outcome`` gives it."""
+    return outcome if isinstance(outcome[0], type) else outcome[1:]
+
+
+def mod_d_rows(K, d, k):
+    """f^k in (Z/d)[c]/(g) as rows, from the chain the shape check reads."""
+    structural_form(K, d, k, exact_type(K, d))
+    return K._iterates[("mod", d)][k].rows()
