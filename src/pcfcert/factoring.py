@@ -31,6 +31,18 @@ all four proves the product identity.  A product that fails one is
 multiplied out (FactorProduct.expanded_rows) and compared with f^k instead,
 which gives every refutation witness.
 
+The entries of a product that telescopes, lambda F(m, i) or lambda S(0, j)
+with lambda != 0 by step 3, are pairwise coprime once a_j != 0 for 1 <= j <
+n.  Then 0 has exact period n and a_0, ..., a_(n-1) are distinct.  A root x
+of F(m, i) has f^m(x) = z a_i, z^d = 1 != z, so f^(m+t)(x) = a_(i+t) for t
+>= 1.  If x is also a root of F(m', i'), m <= m', both give f^(m'+1)(x), so
+i' = i + m' - m mod n: then i' = i if m = m', and z' a_(i') = f^m'(x) =
+a_(i') forces a_(i') = 0 if m < m'.  The root a_j of S(0, j) meets F(m, i)
+only if j + m = i mod n, forcing a_i = 0 the same way, and S(0, j') only if
+j = j' mod n.  So labels naming distinct params are coprime after n - 1 zero
+tests, with no gcd.  Any other product takes the exact gcd over K of each
+pair, which gives every common-factor witness.
+
 A polynomial over K is a pair (rows, den) (see numfield).  f^k and F(k, i)
 are integral, so they are plain integer rows over Z[c]/(g).  Each product on
 the way to f^(k+1) is one big-integer product reduced a column at a time
@@ -74,10 +86,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd
-from operator import mul
 
 from .certificates import Certificate, HypothesisUnmet, Verdict
-from .finitefield import fp_gcd
 from .numfield import (
     NFElem,
     NotIntegral,
@@ -85,7 +95,6 @@ from .numfield import (
     PrimeAboveD,
     Valuation,
     add_constant,
-    backend_a_primes,
     irreducible_mod_prime,
     is_unit,
     nf_norm,
@@ -360,33 +369,14 @@ def iterate_factorization(
     return product
 
 
-COPRIME_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _image_mod(poly, P: PrimeAboveD) -> list[int] | None:
-    """poly = (rows, den) over K reduced at the residue-degree-1 prime P, as
-    residues mod p: each row evaluated at the root of P's linear factor.
-    None when p divides den or the degree drops."""
-    (rows, den), p = poly, P.p
-    if den % p == 0:
-        return None
-    root = -P.lifted_factor.coeffs[0] % p
-    powers = [pow(root, j, p) for j in range(P.field.degree)]
-    inv = pow(den, -1, p)
-    image = [sum(map(mul, row, powers)) * inv % p for row in rows]
-    return image if image and image[-1] else None
-
-
-def _pairwise_coprime_witness(product: FactorProduct, cert: Certificate) -> bool:
-    """Check each label holds one polynomial and all are pairwise coprime.
-
-    Fast path: gcds in F_p[x] at the first backend-A prime P of residue
-    degree 1 above a p in COPRIME_PRIMES, p != d (sound: the reductions keep
-    their degrees, so a gcd of 1 mod P forces a nonzero resultant).  Exact
-    gcd over K when there is no such P, a reduction is undefined, or a pair
-    shares a factor mod P.
-    """
-    fieldK = product.field
+def _pairwise_coprime_witness(
+    product: FactorProduct, cert: Certificate, telescoped: bool
+) -> bool:
+    """Check each label holds one polynomial and all are pairwise coprime:
+    from the orbit when the product telescoped, each label names its own
+    params and a_j != 0 for 1 <= j < n (module docstring); otherwise by the
+    exact gcd over K of each pair."""
+    fieldK, d, n = product.field, product.d, product.n
     distinct = {}
     for e in product.entries:  # label -> (rows, den); equal up to scaling
         rows, den = distinct.setdefault(e.label, (e.rows, e.den))
@@ -397,30 +387,20 @@ def _pairwise_coprime_witness(product: FactorProduct, cert: Certificate) -> bool
             cert.witness("label-conflict", label=e.label)
             return False
     labels = sorted(distinct)
-    odd = (p for p in COPRIME_PRIMES if p != product.d)
-    primes = (P for _, _, P in backend_a_primes(fieldK, odd) if P.residue_degree == 1)
-    P = next(primes, None)
-    reduced = {lab: _image_mod(distinct[lab], P) for lab in labels} if P else {}
-    if not all(reduced.values()):
-        reduced = {}
-    exact_fallbacks = 0
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            la, lb = labels[a], labels[b]
-            if reduced and len(fp_gcd(reduced[la], reduced[lb], P.p)) == 1:
-                continue
-            exact_fallbacks += 1
+    pairs = len(labels) * (len(labels) - 1) // 2
+    named = {(e.label, e.params) for e in product.entries}
+    orbit = telescoped and len(named) == len(labels) == len({p for _, p in named})
+    if orbit and all(not orbit_value(fieldK, d, j).is_zero for j in range(1, n)):
+        cert.witness("pairwise-coprime", pairs=pairs, route="orbit", nonzero_orbit_values=n - 1)
+        return True
+    for a, la in enumerate(labels):
+        for lb in labels[a + 1 :]:
             g = gcd_poly(*(fieldK.poly_from_rows(*distinct[x]) for x in (la, lb)))
             if g.degree != 0:
                 cert.verdict = Verdict.REFUTED
                 cert.witness("common-factor", labels=[la, lb], gcd=g.to_string("x"))
                 return False
-    cert.witness(
-        "pairwise-coprime",
-        pairs=len(labels) * (len(labels) - 1) // 2,
-        modular_prime=P.p if P else None,
-        exact_fallbacks=exact_fallbacks,
-    )
+    cert.witness("pairwise-coprime", pairs=pairs, route="exact")
     return True
 
 
@@ -486,10 +466,11 @@ def verify_factorization(
 ) -> Certificate:
     """Certify that the assembled product is exactly f^k with coprime factors.
 
-    The product identity is proved by telescoping (module docstring).  A
-    product that does not telescope is multiplied out and compared with f^k,
-    exactly on integer rows, denominators included: by Gauss's lemma a monic
-    non-integral factor fails it."""
+    Telescoping proves the product identity and, after the orbit's zero
+    tests, coprimality (module docstring).  A product that does not
+    telescope is multiplied out and compared with f^k, exactly on integer
+    rows, denominators included: by Gauss's lemma a monic non-integral
+    factor fails it."""
     fieldK, d, n, k = product.field, product.d, product.n, product.k
     cert = Certificate(
         claim=f"factorization(d={d}, n={n}, k={k})",
@@ -497,7 +478,8 @@ def verify_factorization(
         taint=fieldK.assumed,
     )
     _check_budget(d, k, budget)
-    if not _telescopes(product, budget):
+    telescoped = _telescopes(product, budget)
+    if not telescoped:
         rows, den = product.expanded_rows()
         f_k = iterate_rows(fieldK, d, k, budget)
         if rows != [[den * x for x in row] for row in f_k]:
@@ -505,7 +487,7 @@ def verify_factorization(
             cert.witness("product-mismatch", degree=len(rows) - 1)
             return cert
     cert.witness("product-identity", degree=d**k)
-    if not _pairwise_coprime_witness(product, cert):
+    if not _pairwise_coprime_witness(product, cert, telescoped):
         return cert
     expected = k - k // n + 1
     if product.distinct_count != expected:

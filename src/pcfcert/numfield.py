@@ -4,7 +4,8 @@ An element of K (NFElem) is an integer row ``num``, its coordinates in 1, c,
 ..., c^(m-1) with no trailing zeros, over a positive ``den``, in lowest terms
 (zero is ((), 1)).  Products are polyring.mul_mod, powers polyring.ring_pow,
 and inverses polyring.inverse_mod (an adjugate row over one integer, by
-fraction-free elimination); an element keeps its inverse once computed.
+fraction-free elimination); an element keeps its inverse and its norm once
+computed, so the orbit values a field keeps pay for their norms once.
 
 A polynomial over K is a pair (rows, den): integer rows of m entries, row j
 the numerator of the coefficient of x^j, over one positive denominator (1
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
@@ -124,7 +126,7 @@ class Valuation:
 class NFElem:
     """Element num(c0)/den of K, immutable (see the module docstring)."""
 
-    __slots__ = ("field", "num", "den", "_inv")
+    __slots__ = ("field", "num", "den", "_inv", "_norm")
 
     def __init__(self, field: "NumberField", num: Sequence[int], den: int = 1):
         if den == 0:
@@ -141,7 +143,7 @@ class NFElem:
         self.field = field
         self.num = tuple(num)
         self.den = den
-        self._inv = None
+        self._inv = self._norm = None
 
     @property
     def is_zero(self) -> bool:
@@ -439,12 +441,13 @@ def irreducibility_certificate(
 
 
 def nf_norm(x: NFElem) -> Fraction:
-    """Norm of x, as resultant(g, num)/den^deg; N(c0) = (-1)^deg * g(0)."""
-    K = x.field
-    if x.is_zero:
-        return Fraction(0)
-    res = resultant(K.g, Poly(ZZ, x.num))
-    return Fraction(res, x.den**K.degree)
+    """Norm of x, as resultant(g, num)/den^deg, kept on x; N(c0) =
+    (-1)^deg * g(0)."""
+    if x._norm is None:
+        K = x.field
+        res = resultant(K.g, Poly(ZZ, x.num)) if x.num else 0
+        x._norm = Fraction(res, x.den**K.degree)
+    return x._norm
 
 
 def nf_resultant(field: NumberField, p, q) -> NFElem:
@@ -683,6 +686,20 @@ def residue_rows(poly, P: PrimeAboveD) -> list[list[int]]:
     G = P.lifted_factor.coeffs if P.backend == "A" else (-P.gen_shift, 1)
     inv = pow(den, -1, P.p)
     return [[c * inv % P.p for c in reduce_monic(list(row), G, P.p)] for row in rows]
+
+
+def image_mod(poly, P: PrimeAboveD) -> list[int] | None:
+    """poly = (rows, den) over K reduced at the residue-degree-1 prime P, as
+    residues mod p: each row evaluated at the root of P's linear factor.
+    None when p divides den or the degree drops."""
+    (rows, den), p = poly, P.p
+    if den % p == 0:
+        return None
+    root = -P.lifted_factor.coeffs[0] % p
+    powers = [pow(root, j, p) for j in range(P.field.degree)]
+    inv = pow(den, -1, p)
+    image = [sum(map(mul, row, powers)) * inv % p for row in rows]
+    return image if image and image[-1] else None
 
 
 def reduce_poly_mod_prime(poly, P: PrimeAboveD) -> Poly:

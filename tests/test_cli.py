@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from pcfcert import cli, factoring, finitefield, orbits
+from pcfcert import cli, factoring, finitefield, numfield, orbits
 from pcfcert.cli import main, parse_scalar_literal, UsageError
 from pcfcert.factoring import NotUnit, ShapeViolation
 from pcfcert.numfield import NotIntegral, nf_new
@@ -125,6 +125,39 @@ class TestSubcommands:
                 *index, "--format", fmt,
             )
             assert (code, err) == (0, "") and "Verified" in out
+
+    def test_warm_f_irred_cert_runs_no_resultant(self, capsys, monkeypatch):
+        # the norms of the orbit values are kept with the field's orbit
+        argv = ("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "8", "--format", "json")
+        first = run_cli(capsys, *argv)
+        calls = []
+        resultant = numfield.resultant
+
+        def spy(*args):
+            calls.append(args)
+            return resultant(*args)
+
+        monkeypatch.setattr(numfield, "resultant", spy)
+        assert run_cli(capsys, *argv) == first and first[0] == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("cmd", ["factor", "verify-factor"])
+    def test_factor_verification_runs_no_gcd(self, capsys, monkeypatch, cmd):
+        # the CLI's closed form is proved coprime from its orbit values
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gcd computed")
+
+        monkeypatch.setattr(finitefield, "fp_gcd", forbidden)
+        monkeypatch.setattr(factoring, "gcd_poly", forbidden)
+        verify = ["--verify"] if cmd == "factor" else []
+        for d, n, k in (("2", "3", "8"), ("2", "4", "8"), ("3", "2", "5")):
+            code, out, err = run_cli(
+                capsys, cmd, "--d", d, "--gleason-n", n, "--k", k, *verify, "--format", "json",
+            )
+            assert (code, err) == (0, "")
+            (w,) = [w for w in json.loads(out)["certificate"]["witnesses"]
+                    if w["step"] == "pairwise-coprime"]
+            assert w["route"] == "orbit"
 
     def test_f_irred_cert(self, capsys):
         code, out, _ = run_cli(

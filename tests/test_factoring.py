@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import as_rows, expand, f_factor_by_division, structural_form_on_rows
 from pcfcert import factoring, numfield, polyring
-from pcfcert.certificates import HypothesisUnmet, Verdict
+from pcfcert.certificates import Certificate, HypothesisUnmet, Verdict
 from pcfcert.factoring import (
     FactorEntry,
     FactorProduct,
@@ -53,6 +53,11 @@ from pcfcert.polyring import Poly, ZZ, reduce_monic
 
 def field(coeffs):
     return nf_new(Poly.from_ints(ZZ, coeffs))
+
+
+def coprime_witness(cert):
+    (w,) = [w for w in cert.witnesses if w["step"] == "pairwise-coprime"]
+    return w
 
 
 K22 = field([1, 1])  # period 2 at d = 2, c0 = -1
@@ -217,27 +222,63 @@ class TestFactorization:
             assert den == 1 and expand(product) == left_to_right == iterate(K, d, k)
             assert rows == iterate_rows(K, d, k), (d, n, k)
 
-    def test_modular_prime_has_residue_degree_one(self):
-        # the first backend-A prime above 3 is inert on (2, 3) and (2, 4)
-        for K, d, n, prime in ((K22, 2, 2, 3), (K23, 2, 3, 5), (K24, 2, 4, 13),
-                               (K32, 3, 2, 5)):
+    def test_cli_products_take_the_orbit_route(self):
+        # the closed form the CLI builds is proved coprime from its orbit
+        for K, d, n in ((K22, 2, 2), (K23, 2, 3), (K24, 2, 4), (K32, 3, 2)):
             cert = verify_factorization(iterate_factorization(K, d, n, 4))
-            (w,) = [w for w in cert.witnesses if w["step"] == "pairwise-coprime"]
-            assert w["modular_prime"] == prime and w["exact_fallbacks"] == 0
-            P = next(P for P in primes_above(K, prime) if P.residue_degree == 1)
-            assert P.backend == "A"
+            count = 4 - 4 // n + 1
+            assert coprime_witness(cert) == {
+                "step": "pairwise-coprime", "pairs": count * (count - 1) // 2,
+                "route": "orbit", "nonzero_orbit_values": n - 1,
+            }
 
-    def test_exact_route_without_a_degree_one_prime(self, monkeypatch):
-        # 3 is inert in the cubic field of (2, 3): no prime of degree 1 is left
-        monkeypatch.setattr(factoring, "COPRIME_PRIMES", (3,))
-        cert = verify_factorization(iterate_factorization(K23, 2, 3, 5))
+    def test_exact_route_without_telescoping(self):
+        # params that name no closed-form factor: the product is multiplied
+        # out, and each pair of its five labels gets an exact gcd over K
+        product = iterate_factorization(K23, 2, 3, 5)
+        a, *rest = product.entries
+        cert = verify_factorization(replace(product, entries=(replace(a, params=("F", 1)), *rest)))
         assert cert.verdict is Verdict.VERIFIED
-        (w,) = [w for w in cert.witnesses if w["step"] == "pairwise-coprime"]
-        assert w["modular_prime"] is None
-        assert w["exact_fallbacks"] == w["pairs"] == 10
+        assert coprime_witness(cert) == {"step": "pairwise-coprime", "pairs": 10, "route": "exact"}
+
+    @pytest.mark.parametrize(
+        "K, d, n, k, labels, gcd",
+        # the closed form at twice the true period telescopes, but a_(n/2) = 0
+        [(K22, 2, 4, 3, ["F(0,1)", "F(1,2)"], "x - 1"),
+         (K23, 2, 6, 4, ["F(0,2)", "F(1,3)"], "x + (c^2 + c)"),
+         (K32, 3, 4, 4, ["F(1,1)", "F(2,2)"], "x^6 + (3*c)*x^3 - 3")],
+    )
+    def test_twice_the_period_is_common_factor(self, K, d, n, k, labels, gcd):
+        product = iterate_factorization(K, d, n, k)
+        assert factoring._telescopes(product, 4096)
+        cert = verify_factorization(product)
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.witnesses == [
+            {"step": "product-identity", "degree": d**k},
+            {"step": "common-factor", "labels": labels, "gcd": gcd},
+        ]
+
+    @pytest.mark.parametrize(
+        "K, d, n, kmax",
+        # criterion 3's ranges, and the first three at twice the period
+        [(K22, 2, 2, 10), (K23, 2, 3, 10), (K24, 2, 4, 8), (K32, 3, 2, 5),
+         (K52, 5, 2, 4), (K22, 2, 4, 8), (K23, 2, 6, 8), (K32, 3, 4, 5)],
+    )
+    def test_orbit_route_agrees_with_exact_route(self, K, d, n, kmax):
+        for k in range(1, kmax + 1):
+            product = iterate_factorization(K, d, n, k)
+            certs = {}
+            for telescoped in (True, False):
+                cert = certs[telescoped] = Certificate("coprime", Verdict.VERIFIED)
+                ok = factoring._pairwise_coprime_witness(product, cert, telescoped)
+                assert ok is (cert.verdict is Verdict.VERIFIED), (n, k)
+            assert certs[True].verdict is certs[False].verdict, (n, k)
+            assert certs[False].witnesses[0].get("route") in (None, "exact")
+            orbit = all(not orbit_value(K, d, j).is_zero for j in range(1, n))
+            assert (certs[True].witnesses[0].get("route") == "orbit") is orbit, (n, k)
 
     def test_verify_reaches_no_poly_arithmetic(self, monkeypatch):
-        # with a degree-1 prime, the check runs on integer rows and F_p lists
+        # the orbit route runs on integer rows and the field's orbit values
         for K, d, n, k in ((K23, 2, 3, 6), (K24, 2, 4, 5)):
             product = iterate_factorization(K, d, n, k)
             verify_factorization(product)  # fills the per-field prime cache
@@ -288,7 +329,7 @@ class TestFactorization:
                               (K32, 3, 2, 3, 5)):
             P = next(P for P in primes_above(K, p) if P.residue_degree == 1)
             for e in iterate_factorization(K, d, n, k).entries:
-                image = factoring._image_mod((e.rows, e.den), P)
+                image = numfield.image_mod((e.rows, e.den), P)
                 assert image == list(reduce_poly_mod_prime((e.rows, e.den), P).coeffs)
         # over a denominator: one evaluation per row against residue_rows
         for K, d, n, p in ((K23, 2, 3, 5), (K24, 2, 4, 13), (K32, 3, 2, 5)):
@@ -296,14 +337,14 @@ class TestFactorization:
             for e in iterate_factorization(K, d, n, 4).entries:
                 for rows, den in ((e.rows, e.den), ([[-7 * x for x in r] for r in e.rows], 3)):
                     expected = [row[0] for row in residue_rows((rows, den), P)]
-                    assert factoring._image_mod((rows, den), P) == expected
+                    assert numfield.image_mod((rows, den), P) == expected
         # no image when a coefficient has a pole at P or the degree drops
         P = next(P for P in primes_above(K23, 5) if P.residue_degree == 1)
         x = Poly.x(K23)
         fifth = Poly.constant(K23, K23.from_rational(Fraction(1, 5)))
         five = Poly.constant(K23, K23.from_int(5))
-        assert factoring._image_mod(as_rows(x + fifth), P) is None
-        assert factoring._image_mod(as_rows(x * five + Poly.one(K23)), P) is None
+        assert numfield.image_mod(as_rows(x + fifth), P) is None
+        assert numfield.image_mod(as_rows(x * five + Poly.one(K23)), P) is None
 
     def test_duplicated_factor_is_common_factor(self):
         # linear^2 split into two labels of exponent 1: the identity holds
@@ -718,6 +759,16 @@ def by_expansion(product):
         return verify_factorization(product)
 
 
+def routes(cert):
+    return [w["route"] for w in cert.witnesses if w["step"] == "pairwise-coprime"]
+
+
+def without_route(cert):
+    """The witnesses without the fields that name the coprimality route."""
+    drop = ("route", "nonzero_orbit_values")
+    return [{k: v for k, v in w.items() if k not in drop} for w in cert.witnesses]
+
+
 def verify_counting_expansions(product):
     """``verify_factorization`` and the number of ``expanded_rows`` calls."""
     calls = []
@@ -761,6 +812,9 @@ def tampered_products():
         "common-denominator": (p4, (scaled(a, 2), scaled(b, den=2), lin4, last), True),
         "duplicated-linear": (p3, (f21, f01, replace(linear, exp=1),
                                    replace(linear, label="copy", exp=1)), True),
+        # the copy names x - a_2 = x: its own params, but it does not telescope
+        "mislabeled-copy": (p3, (f21, f01, replace(linear, exp=1),
+                                 replace(linear, label="copy", params=(2,), exp=1)), False),
         "label-filed-twice": (p3, (
             f21, replace(linear, exp=1), f01,
             replace(f01, rows=linear.rows, den=linear.den, exp=1)), False),
@@ -814,17 +868,22 @@ class TestTelescoping:
             cert, expansions = verify_counting_expansions(product)
             assert expansions == 0, (d, n, k)
             expected = by_expansion(product)
-            assert (cert.verdict, cert.witnesses) == (expected.verdict, expected.witnesses)
+            assert (cert.verdict, without_route(cert)) == (expected.verdict, without_route(expected))
             assert cert.verdict is Verdict.VERIFIED
+            assert (routes(cert), routes(expected)) == (["orbit"], ["exact"])
 
     @pytest.mark.parametrize("name", list(TAMPERED))
     def test_tampered_products_match_expansion(self, name):
         product, telescopes = TAMPERED[name]
         cert, expansions = verify_counting_expansions(product)
         expected = by_expansion(product)
-        assert (cert.verdict, cert.witnesses) == (expected.verdict, expected.witnesses)
+        assert (cert.verdict, without_route(cert)) == (expected.verdict, without_route(expected))
         assert expansions == (0 if telescopes else 1)
         assert factoring._telescopes(product, 4096) is telescopes
+        # the orbit route only where it telescopes and each label has its own params
+        assert routes(expected) in ([], ["exact"])
+        orbit = telescopes and name != "duplicated-linear"
+        assert routes(cert) == (["orbit"] if orbit else routes(expected))
 
     def test_common_denominator_takes_telescoping_route(self):
         # the product of test_common_denominator_is_carried: 2 F * (F' / 2)

@@ -34,7 +34,7 @@ from pcfcert.numfield import (
     valuation,
 )
 from pcfcert.factoring import iterate
-from pcfcert.orbits import gleason, misiurewicz
+from pcfcert.orbits import gleason, misiurewicz, orbit_value
 from pcfcert.polyring import (
     QQ,
     Poly,
@@ -318,6 +318,21 @@ class TestNormTrace:
         c = K.gen()
         assert nf_norm(c - K.one) == 2  # |i - 1|^2
         assert nf_norm(K.from_int(3)) == 9
+
+    def test_kept_norms_equal_fresh_ones(self, monkeypatch):
+        # the orbit values a field keeps carry their norms; a copy of each
+        # element (or a zero, or a non-integral one) computes its own
+        K = nf_new(gleason(2, 4))
+        orbit = [orbit_value(K, 2, i) for i in range(1, 9)]
+        scaled = [x * K.from_rational(Fraction(2, 3)) for x in orbit]
+        kept = [nf_norm(x) for x in (*orbit, *scaled, K.zero)]
+        calls = []
+        monkeypatch.setattr(numfield, "resultant", lambda *a: calls.append(a))
+        assert [nf_norm(x) for x in (*orbit, *scaled, K.zero)] == kept and not calls
+        monkeypatch.undo()
+        fresh = [nf_norm(NFElem(K, x.num, x.den)) for x in (*orbit, *scaled, K.zero)]
+        assert fresh == kept
+        assert fresh[len(orbit):-1] == [x * Fraction(2, 3) ** K.degree for x in kept[:len(orbit)]]
 
     def test_is_unit(self):
         K = field([1, 1, 2, 1])

@@ -93,11 +93,11 @@ class TestNoPolyOverK:
 
     @pytest.mark.parametrize("K, d, n, k", [(K23, 2, 3, 6), (K24, 2, 4, 5), (K32, 3, 2, 4)])
     def test_factorization_and_verification(self, no_poly_over_k, K, d, n, k):
-        # a prime of residue degree 1 keeps every pair off the exact gcd
+        # the orbit route keeps every pair off the exact gcd
         cert = verify_factorization(iterate_factorization(K, d, n, k))
         assert cert.verdict is Verdict.VERIFIED
         (w,) = [w for w in cert.witnesses if w["step"] == "pairwise-coprime"]
-        assert w["modular_prime"] and w["exact_fallbacks"] == 0
+        assert w["route"] == "orbit" and w["nonzero_orbit_values"] == n - 1
 
     def test_primary_irreducibility_route(self, no_poly_over_k):
         for K, d, n, k, i in ((K22, 2, 2, 4, 1), (K23, 2, 3, 3, 2), (K32, 3, 2, 2, 1)):
@@ -133,7 +133,7 @@ class TestRowsOverDen:
                                 (replace(e, den=2), True)):
             cert = Certificate(claim="labels", verdict=Verdict.VERIFIED)
             twice_filed = replace(product, entries=(e, other))
-            ok = factoring._pairwise_coprime_witness(twice_filed, cert)
+            ok = factoring._pairwise_coprime_witness(twice_filed, cert, False)
             assert ok is not conflict
             assert (cert.witnesses[-1]["step"] == "label-conflict") is conflict
 
