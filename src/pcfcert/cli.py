@@ -21,6 +21,7 @@ from .certificates import HypothesisUnmet, OracleMismatch, Unsupported, Verdict
 from .factoring import (
     NotUnit,
     ShapeViolation,
+    check_factor_index,
     f_irreducibility_certificate,
     factor_certificates,
     iterate_factorization,
@@ -232,11 +233,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, text_value: str, json_obj) -> None:
-    if args.format == "json":
-        print(jsonio.dumps(json_obj))
-    else:
-        print(text_value)
+def _emit(args, text, obj) -> None:
+    """Print the requested rendering: ``text()`` or ``obj()`` as JSON; the
+    other is never built."""
+    print(jsonio.dumps(obj()) if args.format == "json" else text())
 
 
 def _cert_text(cert) -> str:
@@ -251,7 +251,7 @@ def _cert_text(cert) -> str:
 
 
 def _emit_cert(args, cert) -> int:
-    _emit(args, _cert_text(cert), jsonio.certificate_json(cert))
+    _emit(args, lambda: _cert_text(cert), lambda: jsonio.certificate_json(cert))
     return _VERDICT_EXIT[cert.verdict]
 
 
@@ -286,31 +286,38 @@ def run(argv) -> int:
 
     if cmd == "gleason":
         g = gleason(args.d, args.n, args.budget)
-        _emit(args, g.to_string("c"), jsonio.poly_json(g, "c"))
+        _emit(args, lambda: g.to_string("c"), lambda: jsonio.poly_json(g, "c"))
         return EXIT_OK
 
     if cmd == "misiurewicz":
         cyc, norm = misiurewicz(args.d, args.m, args.n, args.budget)
         _emit(
             args,
-            f"cyclotomic: {cyc.to_string('c')}\nnorm form: {norm.to_string('c')}",
-            {"cyclotomic": jsonio.cyc_poly_json(cyc), "norm_form": jsonio.poly_json(norm, "c")},
+            lambda: f"cyclotomic: {cyc.to_string('c')}\nnorm form: {norm.to_string('c')}",
+            lambda: {"cyclotomic": jsonio.cyc_poly_json(cyc),
+                     "norm_form": jsonio.poly_json(norm, "c")},
         )
         return EXIT_OK
 
     if cmd == "orbit":
         a = orbit_poly(args.d, args.i, args.budget)
-        _emit(args, a.to_string("c"), jsonio.poly_json(a, "c"))
+        _emit(args, lambda: a.to_string("c"), lambda: jsonio.poly_json(a, "c"))
         return EXIT_OK
 
+    # range errors that need no field, before it is built
+    if cmd == "stability-cert" and args.kmax < 1:
+        raise UsageError(f"k_max must be >= 1, got {args.kmax}")
+    if cmd == "f-irred-cert" and (args.gleason_n or 0) >= 1:
+        check_factor_index(args.gleason_n, args.k, args.i)
     fieldK = resolve_field(args)
 
     if cmd == "exact-type":
         typ = exact_type(fieldK, args.d)
         _emit(
             args,
-            str(typ),
-            {"kind": typ.kind, "m": typ.m, "n": typ.n, "field": jsonio.field_json(fieldK)},
+            lambda: str(typ),
+            lambda: {"kind": typ.kind, "m": typ.m, "n": typ.n,
+                     "field": jsonio.field_json(fieldK)},
         )
         return EXIT_OK
 
@@ -351,8 +358,8 @@ def run(argv) -> int:
         worst = max(_VERDICT_EXIT[c.verdict] for c in certs.values())
         _emit(
             args,
-            "\n".join(_cert_text(c) for _, c in sorted(certs.items())),
-            {lab: jsonio.certificate_json(c) for lab, c in sorted(certs.items())},
+            lambda: "\n".join(_cert_text(c) for _, c in sorted(certs.items())),
+            lambda: {lab: jsonio.certificate_json(c) for lab, c in sorted(certs.items())},
         )
         return worst
 
@@ -361,21 +368,22 @@ def run(argv) -> int:
         trace = disc_iterate(fieldK, args.d, x0, args.k, budget=args.budget)
         _emit(
             args,
-            f"disc(f^{args.k} - x0) = {trace.value} "
+            lambda: f"disc(f^{args.k} - x0) = {trace.value} "
             f"(oracle-checked at k = {list(trace.oracle_checked)})",
-            jsonio.disc_trace_json(trace),
+            lambda: jsonio.disc_trace_json(trace),
         )
         return EXIT_OK
 
     if cmd == "ideal-audit":
         typ = exact_type(fieldK, args.d)
         audit = ideal_power_audit(fieldK, args.d, typ, args.i)
-        text = (
-            f"i = {audit.i}: A_emp = {audit.a_emp}, printed branches "
+        _emit(
+            args,
+            lambda: f"i = {audit.i}: A_emp = {audit.a_emp}, printed branches "
             f"{audit.a_printed_div} (n | m-1) / {audit.a_printed_nondiv} (n ∤ m-1), "
-            f"match = {audit.branch_match}"
+            f"match = {audit.branch_match}",
+            lambda: jsonio.ideal_audit_json(audit),
         )
-        _emit(args, text, jsonio.ideal_audit_json(audit))
         return EXIT_OK
 
     if cmd == "nonabelian-cert":

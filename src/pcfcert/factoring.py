@@ -332,6 +332,15 @@ class FactorProduct:
         return heap[0][2], den
 
 
+def check_factor_index(n: int, k: int, i: int | None = None) -> None:
+    """ValueError unless n >= 2 and F(k, i) is defined (k >= 0, 1 <= i <=
+    n - 1), or, for i None, the closed form of f^k is (k >= 1)."""
+    if i is None and (n < 2 or k < 1):
+        raise ValueError("requires n >= 2 and k >= 1")
+    if i is not None and not (n >= 2 and k >= 0 and 1 <= i <= n - 1):
+        raise ValueError("f_irreducibility_certificate requires n >= 2, k >= 0, 1 <= i <= n-1")
+
+
 def closed_form_factors(
     fieldK: NumberField, d: int, n: int, k: int, budget: int = DEFAULT_DEGREE_BUDGET
 ) -> list[tuple[str, tuple, int]]:
@@ -339,8 +348,7 @@ def closed_form_factors(
     order; params are (m, i) for F(m, i) and (orbit index,) for the linear
     factor.  Raises up front what building the factors would: deg f^k past
     the budget, or an orbit relation a factor needs that fails."""
-    if n < 2 or k < 1:
-        raise ValueError("requires n >= 2 and k >= 1")
+    check_factor_index(n, k)
     _check_budget(d, k, budget)
     q, r = divmod(k, n)
     out = [(k - n * j - i, n - i, d**j) for j in range(q) for i in range(1, n)]
@@ -649,8 +657,7 @@ def f_irreducibility_certificate(
     Fallback: irreducibility of the reduction of F(k, i) in a residue field
     of K, flagged as the mod-prime route.
     """
-    if not (n >= 2 and k >= 0 and 1 <= i <= n - 1):
-        raise ValueError("f_irreducibility_certificate requires n >= 2, k >= 0, 1 <= i <= n-1")
+    check_factor_index(n, k, i)
     cert = Certificate(
         claim=f"irreducible(F({k},{i}), d={d}, n={n})",
         verdict=Verdict.INCONCLUSIVE,

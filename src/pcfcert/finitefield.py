@@ -1,335 +1,323 @@
 """Polynomial factorization over finite fields and Hensel lifting.
 
-Finite fields are Ring adapters for the generic Poly type: PrimeField for
-F_p (elements are ints in [0, p)) and ExtField for F_{p^f} (elements are
-length-f tuples of ints, coordinates in the power basis of the class of t
-modulo the defining polynomial).  ``fp_rem`` and ``fp_gcd`` work on F_p[x]
-directly, on plain lists of residues, without the adapter.
+F_q = F_p[t]/(G) for G monic irreducible of degree f over F_p, with G = t
+for F_p itself.  An element of F_q is a row of f residues in [0, p), its
+coordinates in 1, t, ..., t^(f-1), and a polynomial over F_q is a list of
+rows, ascending, with no zero top row (the zero polynomial is []): the row
+form of K[x] in polyring.  Every function takes the field as (G, p), and
+``field_modulus`` checks once that the pair defines a field.
+
+Inside, a polynomial is held as its f columns (entry j of every row), as
+polyring's row kernels hold theirs; at f = 1 that is one list of residues,
+and the kernels take a width-1 path.  Products are polyring's Kronecker
+products, reduced modulo G and p a column at a time.  Each step of the
+remainder by a monic divisor subtracts c times the divisor from whole
+columns, products in t left unreduced, and reduces only the next leading
+element modulo G and p.
 
 Factorization is squarefree decomposition, then distinct-degree splitting,
-then randomized equal-degree splitting.  The equal-degree stage is seeded so
-runs replay bit-for-bit; at p = 2 it uses the trace map instead of the
-random-power method, which degenerates in characteristic 2.
+then randomized equal-degree splitting (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 14), from a fixed seed: ``factor`` sorts its output
+by (degree, coefficient rows), so it does not depend on the draws.  At p =
+2 the split uses the trace map, as the random-power method degenerates.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
+from math import isqrt
+from typing import Sequence
 
 from .certificates import OracleMismatch
-from .polyring import Poly, Ring, ZZ, gcd_poly, mul_mod, ring_pow, xgcd_poly
-
-DEFAULT_SEED = 1
+from .polyring import (
+    NotDivisible,
+    Poly,
+    ZZ,
+    _mul_columns,
+    _pack,
+    _reduce_columns,
+    _slot_bytes,
+    _times,
+    _trim,
+    _unpack,
+    inverse_mod,
+    pow_rows,
+    reduce_monic,
+)
 
 
 class NotSquarefree(ArithmeticError):
     """Seed factorization is not squarefree mod p; Hensel lifting is unsound."""
 
 
-class PrimeField(Ring):
-    """F_p with elements stored as ints in [0, p)."""
+def field_modulus(G: Sequence[int], p: int) -> tuple[int, ...]:
+    """G mod p, checked to define F_q = F_p[t]/(G): ValueError unless p is a
+    prime and G is monic and irreducible over F_p (Rabin's test)."""
+    if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+        raise ValueError("modulus must be a prime >= 2")
+    G = tuple(c % p for c in G)
+    if len(G) < 2 or G[-1] != 1:
+        raise ValueError("defining polynomial must be monic nonconstant")
+    if not is_irreducible([[c] for c in G], (0, 1), p):
+        raise ValueError("defining polynomial is reducible over F_p")
+    return G
 
-    is_field = True
 
-    def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            raise ValueError("modulus must be a prime >= 2")
-        self.p = p
-        self.degree = 1
-        self.order = p
-        self.zero = 0
-        self.one = 1 % p
+# -- kernels on columns ---------------------------------------------------------
 
-    def add(self, a, b):
-        return (a + b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
+def _cols(rows, f: int) -> list:
+    return _trim([list(col) for col in zip(*rows)]) if rows else [[] for _ in range(f)]
 
-    def mul(self, a, b):
-        return (a * b) % self.p
 
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
+def _rows(cols) -> list:
+    return [list(row) for row in zip(*cols)]
 
-    def from_int(self, n):
-        return n % self.p
 
-    def pth_root(self, a):
+def _monomial(f: int, k: int) -> list:
+    """x^k."""
+    return [[0] * k + [1]] + [[0] * (k + 1) for _ in range(f - 1)]
+
+
+def _deg(a) -> int:
+    return len(a[0]) - 1
+
+
+def _add(a, b, p: int, sign: int = 1) -> list:
+    """a + sign * b."""
+    sums = (zip_longest(u, v, fillvalue=0) for u, v in zip(a, b))
+    return _trim([[(x + sign * y) % p for x, y in col] for col in sums])
+
+
+def _mul(a, b, G, p: int) -> list:
+    if not (a[0] and b[0]):
+        return [[] for _ in a]
+    if len(a) == 1:  # width 1: one product of the packed residues
+        (x,), (y,) = a, b
+        k = _slot_bytes(min(len(x), len(y)) * (p - 1) ** 2)
+        vx = _pack(a, len(x), 1, k)
+        vy = vx if b is a else _pack(b, len(y), 1, k)
+        return [[v % p for v in _unpack(vx * vy, len(x) + len(y) - 1, k)]]
+    ta = (a, len(a[0]))
+    return _mul_columns(ta, ta if b is a else (b, len(b[0])), G, p)[0]
+
+
+def _inverse(x, G, p: int) -> list:
+    """The inverse of a nonzero element from its adjugate (polyring.inverse_mod):
+    x adj = n modulo G, and p does not divide n when F_q is a field."""
+    if len(x) == 1:
+        return [pow(x[0], -1, p)]
+    adj, n = inverse_mod(x, G)
+    k = pow(n, -1, p)
+    return [v * k % p for v in adj]
+
+
+def _scale(a, c, G, p: int) -> list:
+    """a times the element c."""
+    if len(a) == 1:
+        return [[x * c[0] % p for x in a[0]]]
+    return _reduce_columns(_times(c, a), len(a[0]), G, p)
+
+
+def _monic(a, G, p: int) -> list:
+    lead = [col[-1] for col in a]
+    if lead[0] == 1 and not any(lead[1:]):
         return a
-
-    def element_key(self, a):
-        return (a,)
-
-    def random_element(self, rng: random.Random):
-        return rng.randrange(self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
+    return _scale(a, _inverse(lead, G, p), G, p)
 
 
-class ExtField(Ring):
-    """F_{p^f} = F_p[t]/(h) for h monic irreducible of degree f over F_p."""
-
-    is_field = True
-
-    def __init__(self, p: int, modpoly: Poly):
-        base = PrimeField(p)
-        if modpoly.ring != base:
-            modpoly = modpoly.map_coeffs(base, base.from_int)
-        if not modpoly.is_monic() or modpoly.degree < 1:
-            raise ValueError("defining polynomial must be monic nonconstant")
-        if modpoly.degree > 1 and not is_irreducible(modpoly):
-            raise ValueError("defining polynomial is reducible over F_p")
-        self.p = p
-        self.base = base
-        self.modpoly = modpoly
-        self.degree = modpoly.degree
-        self.order = p**self.degree
-        self.zero = (0,) * self.degree
-        self.one = tuple([1 % p] + [0] * (self.degree - 1))
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        return tuple(mul_mod(a, b, self.modpoly.coeffs, self.p))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def inv(self, a):
-        if all(x == 0 for x in a):
-            raise ZeroDivisionError("inverse of zero in F_q")
-        apoly = Poly.make(self.base, a)
-        g, s, _ = xgcd_poly(apoly, self.modpoly)
-        if g.degree != 0:
-            raise ZeroDivisionError("non-invertible element")
-        inv = s.scale(self.base.div(1, g.constant_term))
-        _, rem = inv.divmod(self.modpoly)
-        out = list(rem.coeffs) + [0] * (self.degree - len(rem.coeffs))
-        return tuple(out)
-
-    def from_int(self, n):
-        return tuple([n % self.p] + [0] * (self.degree - 1))
-
-    def pth_root(self, a):
-        # Frobenius is x -> x^p; its inverse is x -> x^(p^(f-1)).
-        return ring_pow(self, a, self.p ** (self.degree - 1))
-
-    def element_key(self, a):
-        return tuple(a)
-
-    def random_element(self, rng: random.Random):
-        return tuple(rng.randrange(self.p) for _ in range(self.degree))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtField)
-            and other.p == self.p
-            and other.modpoly.coeffs == self.modpoly.coeffs
-        )
-
-    def __hash__(self):
-        return hash(("Fq", self.p, self.modpoly.coeffs))
+def _divmod(a, b, G, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by the monic b."""
+    f, na, nb = len(a), len(a[0]), len(b[0]) - 1
+    if na <= nb:
+        return [[] for _ in a], a
+    cols = [list(col) for col in a] + [[0] * na for _ in range(f - 1)]
+    tail = [col[:nb] for col in b]
+    quo = [[0] * (na - nb) for _ in a]
+    for top in range(na - 1, nb - 1, -1):
+        lo = top - nb
+        if f == 1:
+            lead = [cols[0][top] % p]
+        else:
+            lead = reduce_monic([col[top] for col in cols], G, p)
+        for i, c in enumerate(lead):
+            if c:
+                quo[i][lo] = c
+                for col, y in zip(cols[i:], tail):
+                    col[lo:top] = [x - c * v for x, v in zip(col[lo:top], y)]
+    if f == 1:
+        return quo, _trim([[x % p for x in cols[0][:nb]]])
+    return quo, _trim(_reduce_columns([col[:nb] for col in cols], nb, G, p))
 
 
-def fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b in F_p[x], on lists of residues (ascending) with no trailing
-    zeros; so is the result."""
-    a, db, inv = list(a), len(b) - 1, pow(b[-1], -1, p)
-    for top in range(len(a) - 1, db - 1, -1):
-        c = a[top] * inv % p
-        if c:
-            a[top - db : top] = [(x - c * y) % p for x, y in zip(a[top - db : top], b)]
-    del a[db:]
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _exact_div(a, b, G, p: int) -> list:
+    quo, rem = _divmod(a, b, G, p)
+    if rem[0]:
+        raise NotDivisible("nonzero remainder in an exact division over F_q")
+    return quo
 
 
-def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd in F_p[x] of lists as ``fp_rem`` takes them, as ``gcd_poly``
-    over PrimeField(p) computes it; ValueError for gcd(0, 0)."""
-    if not (a or b):
+def _gcd(a, b, G, p: int) -> list:
+    """The monic gcd; ValueError for gcd(0, 0)."""
+    if not (a[0] or b[0]):
         raise ValueError("gcd(0, 0) undefined")
-    while b:
-        a, b = b, fp_rem(a, b, p)
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
+    while b[0]:
+        b = _monic(b, G, p)
+        a, b = b, _divmod(a, b, G, p)[1]
+    return _monic(a, G, p)
 
 
-def _field_params(F) -> tuple[int, int, int]:
-    """(p, f, q) for a PrimeField or ExtField adapter."""
-    return F.p, F.degree, F.order
+def _xgcd(a, b, G, p: int) -> tuple[list, list, list]:
+    """(h, s, t) with h = s a + t b the monic gcd of a and b, b nonzero."""
+    one, zero = _monomial(len(a), 0), [[] for _ in a]
+    r0, r1, s0, s1, t0, t1 = a, b, one, zero, zero, one
+    while r1[0]:
+        inv = _inverse([col[-1] for col in r1], G, p)
+        r1, s1, t1 = (_scale(v, inv, G, p) for v in (r1, s1, t1))
+        quo, rem = _divmod(r0, r1, G, p)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _add(s0, _mul(quo, s1, G, p), p, -1)
+        t0, t1 = t1, _add(t0, _mul(quo, t1, G, p), p, -1)
+    return r0, s0, t0
 
 
-def poly_pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.one(base.ring)
-    base = base.divmod(mod)[1]
-    while e:
-        if e & 1:
-            result = (result * base).divmod(mod)[1]
-        e >>= 1
-        if e:
-            base = (base * base).divmod(mod)[1]
+def _powmod(a, e: int, m, G, p: int) -> list:
+    """a^e modulo the monic m, for e >= 1."""
+    base = result = _divmod(a, m, G, p)[1]
+    for bit in bin(e)[3:]:
+        result = _divmod(_mul(result, result, G, p), m, G, p)[1]
+        if bit == "1":
+            result = _divmod(_mul(result, base, G, p), m, G, p)[1]
     return result
 
 
-def is_irreducible(g: Poly) -> bool:
-    """Rabin's test: x^(q^n) = x mod g, and x^(q^(n/l)) - x coprime to g."""
-    F = g.ring
-    _, _, q = _field_params(F)
-    n = g.degree
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = Poly.x(F)
-    for ell in sorted({ell for ell in _prime_factors(n)}):
-        xp = poly_pow_mod(x, q ** (n // ell), g)
-        if gcd_poly(xp - x, g).degree != 0:
+# -- factoring -------------------------------------------------------------------
+
+
+def is_irreducible(g, G: Sequence[int], p: int) -> bool:
+    """Rabin's test for g over F_q = F_p[t]/(G): x^(q^n) = x mod g, and
+    x^(q^(n/l)) - x coprime to g for each prime l | n; n = deg g."""
+    f = len(G) - 1
+    g = _cols(g, f)
+    n = _deg(g)
+    if n <= 1:
+        return n == 1
+    g, x = _monic(g, G, p), _monomial(f, 1)
+    checks = {n // ell for ell in range(2, n + 1)
+              if n % ell == 0 and all(ell % r for r in range(2, isqrt(ell) + 1))}
+    xq = x
+    for k in range(1, n + 1):
+        xq = _powmod(xq, p**f, g, G, p)
+        if k in checks and _deg(_gcd(_add(xq, x, p, -1), g, G, p)):
             return False
-    xp = poly_pow_mod(x, q**n, g)
-    return (xp - x).divmod(g)[1].is_zero
+    return xq == x
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        else:
-            p += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _pth_root(h, G, p: int) -> list:
+    """The p-th root of h = sum h_(pi) x^(pi): a -> a^(p^(f-1)) on each
+    h_(pi), the inverse of Frobenius on F_q."""
+    f = len(G) - 1
+    h = [col[::p] for col in h]
+    if f == 1:
+        return h
+    return _cols([pow_rows([row], p ** (f - 1), G, p)[0] for row in _rows(h)], f)
 
 
-def squarefree_decomposition(g: Poly) -> list[tuple[Poly, int]]:
-    """Squarefree decomposition in characteristic p, handling p-th powers."""
-    F = g.ring
-    p, _, _ = _field_params(F)
-    out: dict[int, Poly] = {}
+def _squarefree(g, G, p: int) -> list[tuple[list, int]]:
+    """[(part, multiplicity)] for the monic g, in characteristic p."""
+    out: dict[int, list] = {}
 
-    def accumulate(part: Poly, mult: int):
-        if part.degree > 0:
-            out[mult] = out.get(mult, Poly.one(F)) * part
-
-    def pth_root(h: Poly) -> Poly:
-        return Poly.make(F, [F.pth_root(h.coeff(i)) for i in range(0, h.degree + 1, p)])
-
-    def sqf(h: Poly, scale: int):
-        if h.degree <= 0:
+    def sqf(h, scale: int):
+        if _deg(h) <= 0:
             return
-        dh = h.derivative()
-        if dh.is_zero:
-            sqf(pth_root(h), scale * p)
+        dh = _trim([[j * x % p for j, x in enumerate(col)][1:] for col in h])
+        if not dh[0]:
+            sqf(_pth_root(h, G, p), scale * p)
             return
-        c = gcd_poly(h, dh)
-        w = h.exact_div(c)
+        c = _gcd(h, dh, G, p)
+        w = _exact_div(h, c, G, p)
         m = 1
-        while w.degree > 0:
-            y = gcd_poly(w, c)
-            accumulate(w.exact_div(y), m * scale)
-            c = c.exact_div(y)
+        while _deg(w) > 0:
+            y = _gcd(w, c, G, p)
+            part = _exact_div(w, y, G, p)
+            if _deg(part) > 0:
+                k = m * scale
+                out[k] = _mul(out[k], part, G, p) if k in out else part
+            c = _exact_div(c, y, G, p)
             w = y
             m += 1
-        if c.degree > 0:
-            sqf(pth_root(c), scale * p)
+        if _deg(c) > 0:
+            sqf(_pth_root(c, G, p), scale * p)
 
-    sqf(g.monic(), 1)
-    return sorted(
-        ((poly.monic(), mult) for mult, poly in out.items()), key=lambda it: it[1]
-    )
+    sqf(g, 1)
+    return sorted(((part, mult) for mult, part in out.items()), key=lambda it: it[1])
 
 
-def distinct_degree_split(g: Poly) -> list[tuple[Poly, int]]:
-    """Split squarefree monic g into products of irreducibles of equal degree."""
-    F = g.ring
-    _, _, q = _field_params(F)
-    out = []
-    x = Poly.x(F)
-    xq = x
-    d = 0
-    rest = g
-    while rest.degree > 2 * (d + 1) - 1 and rest.degree > 0:
+def squarefree_decomposition(g, G: Sequence[int], p: int) -> list[tuple[list, int]]:
+    """Squarefree decomposition of g != 0 over F_q = F_p[t]/(G): [(monic
+    part as rows, multiplicity)] by multiplicity, p-th powers handled."""
+    parts = _squarefree(_monic(_cols(g, len(G) - 1), G, p), G, p)
+    return [(_rows(part), mult) for part, mult in parts]
+
+
+def _distinct_degree(g, G, p: int) -> list[tuple[list, int]]:
+    """The squarefree monic g split into products of irreducibles of one
+    degree: [(product, degree)]."""
+    x, q = _monomial(len(G) - 1, 1), p ** (len(G) - 1)
+    out, xq, d, rest = [], x, 0, g
+    while _deg(rest) >= 2 * (d + 1):
         d += 1
-        xq = poly_pow_mod(xq, q, rest)
-        part = gcd_poly(xq - x, rest)
-        if part.degree > 0:
+        xq = _powmod(xq, q, rest, G, p)
+        part = _gcd(_add(xq, x, p, -1), rest, G, p)
+        if _deg(part) > 0:
             out.append((part, d))
-            rest = rest.exact_div(part)
-            xq = xq.divmod(rest)[1] if rest.degree > 0 else xq
-    if rest.degree > 0:
-        out.append((rest, rest.degree))
+            rest = _exact_div(rest, part, G, p)
+            xq = _divmod(xq, rest, G, p)[1]
+    if _deg(rest) > 0:
+        out.append((rest, _deg(rest)))
     return out
 
 
-def equal_degree_split(g: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Split a squarefree monic product of degree-d irreducibles completely."""
-    F = g.ring
-    p, f, q = _field_params(F)
-    if g.degree == d:
+def _equal_degree(g, d: int, G, p: int, rng: random.Random) -> list:
+    """The squarefree monic product g of degree-d irreducibles, split."""
+    f, n = len(G) - 1, _deg(g)
+    if n == d:
         return [g]
     while True:
-        a = Poly.make(F, [F.random_element(rng) for _ in range(g.degree)])
-        if a.degree < 1:
+        a = _trim([[rng.randrange(p) for _ in range(n)] for _ in range(f)])
+        if _deg(a) < 1:
             continue
-        h = gcd_poly(a, g) if a.degree > 0 else Poly.one(F)
-        if 0 < h.degree < g.degree:
-            split = h
-        elif p == 2:
-            # trace map over F_2: T(a) = a + a^2 + a^4 + ... (d*f terms)
-            t = a.divmod(g)[1]
-            acc = t
-            for _ in range(d * f - 1):
-                t = (t * t).divmod(g)[1]
-                acc = (acc + t).divmod(g)[1]
-            split = gcd_poly(acc, g) if not acc.is_zero else Poly.one(F)
-        else:
-            b = poly_pow_mod(a, (q**d - 1) // 2, g)
-            split = gcd_poly(b - Poly.one(F), g)
-        if 0 < split.degree < g.degree:
-            return sorted(
-                equal_degree_split(split, d, rng)
-                + equal_degree_split(g.exact_div(split), d, rng),
-                key=_poly_key,
-            )
+        split = _gcd(a, g, G, p)
+        if not 0 < _deg(split) < n:
+            if p == 2:
+                # the trace a + a^2 + a^4 + ... (d*f terms), summed mod 2
+                t = acc = a
+                for _ in range(d * f - 1):
+                    t = _divmod(_mul(t, t, G, p), g, G, p)[1]
+                    acc = _add(acc, t, p)
+            else:
+                b = _powmod(a, (p ** (d * f) - 1) // 2, g, G, p)
+                acc = _add(b, _monomial(f, 0), p, -1)
+            split = _gcd(acc, g, G, p)
+        if 0 < _deg(split) < n:
+            rest = _exact_div(g, split, G, p)
+            return _equal_degree(split, d, G, p, rng) + _equal_degree(rest, d, G, p, rng)
 
 
-def _poly_key(poly: Poly):
-    F = poly.ring
-    return (poly.degree, tuple(F.element_key(c) for c in poly.coeffs))
-
-
-def factor(g: Poly, seed: int = DEFAULT_SEED) -> list[tuple[Poly, int]]:
-    """Complete factorization into monic irreducibles, canonically sorted.
-
-    Returns [(irreducible, multiplicity), ...].  The equal-degree stage is
-    randomized but the output ordering is canonical, so results are
-    deterministic up to the seed only through running time.
-    """
-    F = g.ring
-    if g.is_zero:
+def factor(g, G: Sequence[int], p: int) -> list[tuple[list, int]]:
+    """Complete factorization of g over F_q = F_p[t]/(G) into monic
+    irreducibles: [(irreducible as rows, multiplicity)], sorted by degree,
+    then coefficient rows, then multiplicity."""
+    if not g:
         raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(seed)
+    rng = random.Random(1)
     out = []
-    for sqfree, mult in squarefree_decomposition(g):
-        for part, d in distinct_degree_split(sqfree):
-            for irr in equal_degree_split(part, d, rng):
-                out.append((irr, mult))
-    return sorted(out, key=lambda it: (_poly_key(it[0]), it[1]))
+    for part, mult in _squarefree(_monic(_cols(g, len(G) - 1), G, p), G, p):
+        for same, d in _distinct_degree(part, G, p):
+            out += [(_rows(irr), mult) for irr in _equal_degree(same, d, G, p, rng)]
+    return sorted(out, key=lambda it: (len(it[0]), tuple(map(tuple, it[0])), it[1]))
 
 
 # -- Hensel lifting ---------------------------------------------------------
@@ -343,35 +331,32 @@ class LiftedFactorization:
     T: int
     factors: tuple[Poly, ...]  # over ZZ, coefficients reduced into [0, p^T)
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.T
+
+FP = (0, 1)  # F_p = F_p[t]/(t)
 
 
 def _reduce_mod(poly: Poly, m: int) -> Poly:
     return Poly.make(ZZ, [c % m for c in poly.coeffs])
 
 
-def _to_fp(poly: Poly, F: PrimeField) -> Poly:
-    return poly.map_coeffs(F, F.from_int)
+def _fp(poly: Poly, p: int) -> list:
+    return _trim([[c % p for c in poly.coeffs]])
 
 
 def _lift_pair(g: Poly, u: Poly, v: Poly, p: int, T: int) -> tuple[Poly, Poly]:
-    """Lift monic u*v = g (mod p) to monic U*V = g (mod p^T)."""
-    F = PrimeField(p)
-    one, s, t = xgcd_poly(_to_fp(u, F), _to_fp(v, F))
-    if one.degree != 0:
+    """Lift monic u*v = g (mod p) to monic U*V = g (mod p^T): with s u + t v
+    = 1 and e = (g - u v) / p^k, du = t e mod u and dv = s e mod v."""
+    u_p, v_p = _fp(u, p), _fp(v, p)  # the same mod p at every step
+    one, s, t = _xgcd(u_p, v_p, FP, p)
+    if _deg(one) != 0:
         raise NotSquarefree("lift factors share a root mod p")
     pk = p
     for _ in range(T - 1):
-        err = g - u * v
-        e = Poly.make(ZZ, [c // pk for c in err.coeffs])
-        e_fp = _to_fp(e, F)
-        te = t * e_fp
-        quo, du = te.divmod(_to_fp(u, F))
-        dv = (s * e_fp + _to_fp(v, F) * quo).divmod(_to_fp(v, F))[1]
-        u = _reduce_mod(u + Poly.make(ZZ, [c * pk for c in du.coeffs]), pk * p)
-        v = _reduce_mod(v + Poly.make(ZZ, [c * pk for c in dv.coeffs]), pk * p)
+        e = _fp(Poly.make(ZZ, [c // pk for c in (g - u * v).coeffs]), p)
+        du = _divmod(_mul(t, e, FP, p), u_p, FP, p)[1]
+        dv = _divmod(_mul(s, e, FP, p), v_p, FP, p)[1]
+        u = _reduce_mod(u + Poly.make(ZZ, [c * pk for c in du[0]]), pk * p)
+        v = _reduce_mod(v + Poly.make(ZZ, [c * pk for c in dv[0]]), pk * p)
         pk *= p
         if any(c % pk for c in (g - u * v).coeffs):
             raise OracleMismatch("Hensel step failed")
@@ -382,7 +367,6 @@ def _lift_list(g: Poly, seeds: list[Poly], p: int, T: int) -> list[Poly]:
     if len(seeds) == 1:
         return [_reduce_mod(g, p**T)]
     half = len(seeds) // 2
-    F = PrimeField(p)
     u0 = Poly.one(ZZ)
     for f_ in seeds[:half]:
         u0 = _reduce_mod(u0 * f_, p)
@@ -394,35 +378,33 @@ def _lift_list(g: Poly, seeds: list[Poly], p: int, T: int) -> list[Poly]:
 
 
 def hensel_lift(
-    g: Poly, factorization: list[tuple[Poly, int]], p: int, T: int
+    g: Poly, factorization: list[tuple[list, int]], p: int, T: int
 ) -> LiftedFactorization:
     """Lift a squarefree factorization of g mod p to precision p^T.
 
     ``g`` is monic over Z; ``factorization`` is [(factor, multiplicity)] with
-    factors over F_p (or over Z, reduced here).  Raises NotSquarefree when any
-    multiplicity exceeds 1 or factors share a root mod p.
+    factors over F_p as ``factor`` returns them (rows of one residue).
+    Raises NotSquarefree when any multiplicity exceeds 1 or factors share a
+    root mod p.
     """
     if not g.is_monic():
         raise ValueError("hensel_lift requires a monic input")
     if T < 1:
         raise ValueError("precision T must be >= 1")
-    F = PrimeField(p)
     seeds = []
-    for f_, mult in factorization:
+    for rows, mult in factorization:
         if mult != 1:
             raise NotSquarefree(f"seed factor with multiplicity {mult}")
-        fp = f_ if isinstance(f_.ring, PrimeField) else _to_fp(f_, F)
-        seeds.append(fp)
-    for i in range(len(seeds)):
-        for j in range(i + 1, len(seeds)):
-            if gcd_poly(seeds[i], seeds[j]).degree != 0:
-                raise NotSquarefree("seed factors share a root mod p")
-    prod = Poly.one(F)
+        seeds.append(_trim([[row[0] % p for row in rows]]))
+    prod = [[1]]
     for s in seeds:
-        prod = prod * s
-    if prod != _to_fp(g, F):
+        prod = _mul(prod, s, FP, p)
+    if prod != _fp(g, p):
         raise NotSquarefree("seed factorization does not match g mod p")
-    seeds_z = [Poly.make(ZZ, [c % p for c in s.coeffs]) for s in seeds]
+    dprod = _trim([[j * x % p for j, x in enumerate(prod[0])][1:]])
+    if _deg(_gcd(prod, dprod, FP, p)) != 0:  # the seeds are squarefree and coprime
+        raise NotSquarefree("seed factors share a root mod p")
+    seeds_z = [Poly.make(ZZ, s[0]) for s in seeds]
     lifted = _lift_list(_reduce_mod(g, p**T), seeds_z, p, T)
     # re-verify: product of lifts must equal g mod p^T
     check = Poly.one(ZZ)

@@ -42,7 +42,9 @@ Every certificate starts by choosing a prime, and the choice is made here:
 ``backend_a_primes`` lists the backend-A primes above given rational primes,
 ``irreducible_mod_prime`` finds the first where a polynomial over K reduces
 to an irreducible, and ``prime_with_valuation`` the first prime above p where
-the valuation of an element meets a case hypothesis.
+the valuation of an element meets a case hypothesis.  At a prime,
+``reduce_poly_mod_prime`` takes a polynomial over K into O_K/P = F_p[t]/(G)
+as finitefield's rows, with G from ``residue_modulus``, checked once per prime.
 """
 
 from __future__ import annotations
@@ -51,17 +53,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from operator import mul
 from typing import Sequence
 
 from .certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
-from .finitefield import (
-    ExtField,
-    PrimeField,
-    factor,
-    hensel_lift,
-    is_irreducible,
-)
+from .finitefield import factor, field_modulus, hensel_lift, is_irreducible
 from .polyring import (
     Poly,
     Ring,
@@ -232,7 +227,7 @@ class NumberField(Ring):
         self.zero = NFElem(self, ())
         self.one = NFElem(self, (1,))
         self._primes_cache: dict[tuple[int, int], tuple] = {}
-        self._residue_fields: dict = {}  # PrimeAboveD -> O_K/P (residue_field)
+        self._residue_moduli: dict = {}  # PrimeAboveD -> G (residue_modulus)
         # d (over Z[c]/(g)), ("mod", d) (over (Z/d)[c]/(g)) or (P, d) (in the
         # residue ring of P) -> [f^0, f^1, ...] for f = x^d + c0, each f^k
         # packed into one int (see factoring.iterate_rows); ints, not
@@ -344,7 +339,7 @@ def _tiny_factor_search(g: Poly, p: int) -> Poly | str | None:
     while p**T <= 2 * bound:
         T += 1
     modulus = p**T
-    fac = factor(Poly.from_ints(PrimeField(p), list(g.coeffs)))
+    fac = factor([[c % p] for c in g.coeffs], (0, 1), p)
     if any(m > 1 for _, m in fac):
         return f"g is not squarefree mod {p}"
     if len(fac) == 1:
@@ -403,8 +398,8 @@ def irreducibility_certificate(
             break
         if disc % p == 0:
             continue
-        fac = factor(Poly.from_ints(PrimeField(p), list(g.coeffs)))
-        degrees = [f.degree for f, _ in fac]
+        fac = factor([[c % p] for c in g.coeffs], (0, 1), p)
+        degrees = [len(f) - 1 for f, _ in fac]
         if len(degrees) == 1:
             cert.verdict = Verdict.VERIFIED
             cert.witness("irreducible-mod-p", p=p)
@@ -515,8 +510,7 @@ def primes_above(field: NumberField, p: int, T: int = DEFAULT_PRECISION) -> list
     g = field.g
     disc = field.disc_g
     if disc % p != 0:
-        fac = factor(Poly.from_ints(PrimeField(p), list(g.coeffs)))
-        lifted = hensel_lift(g, fac, p, T)
+        lifted = hensel_lift(g, factor([[c % p] for c in g.coeffs], (0, 1), p), p, T)
         primes = [
             PrimeAboveD(
                 field=field,
@@ -576,7 +570,7 @@ def irreducible_mod_prime(K: NumberField, poly, ps):
             image = reduce_poly_mod_prime(poly, P)
         except ValueError:
             continue
-        if image.degree == len(poly[0]) - 1 and is_irreducible(image):
+        if len(image) == len(poly[0]) and is_irreducible(image, residue_modulus(P), p):
             return p, idx, P
     return None
 
@@ -664,46 +658,28 @@ def valuation(x: NFElem, P: PrimeAboveD) -> Valuation:
     return Valuation.of(v - shift)
 
 
-def residue_field(P: PrimeAboveD):
-    """O_K/P as a PrimeField or ExtField, built once per prime and kept by
-    its field: an ExtField runs Rabin's test on the lifted factor."""
-    cache = P.field._residue_fields
+def residue_modulus(P: PrimeAboveD) -> tuple[int, ...]:
+    """G with O_K/P = F_p[t]/(G): the lifted factor mod p at residue degree
+    f > 1, else t.  Checked once per prime (``field_modulus``, Rabin's test)
+    and kept by its field."""
+    cache = P.field._residue_moduli
     if P not in cache:
-        F = PrimeField(P.p)
-        if P.backend == "A" and P.residue_degree > 1:
-            F = ExtField(P.p, Poly.from_ints(F, list(P.lifted_factor.coeffs)))
-        cache[P] = F
+        G = P.lifted_factor.coeffs if P.residue_degree > 1 else (0, 1)
+        cache[P] = field_modulus(G, P.p)
     return cache[P]
 
 
-def residue_rows(poly, P: PrimeAboveD) -> list[list[int]]:
-    """The coefficients of poly = (rows, den) over K in O_K/P = F_p[c]/(G), as
-    rows of residues mod p in the basis 1, c, ..., c^(f-1), with G the lifted
-    factor (A) or c - s (B).  ValueError when p divides den."""
+def reduce_poly_mod_prime(poly, P: PrimeAboveD) -> list[list[int]]:
+    """poly = (rows, den) over K reduced coefficient-wise into O_K/P =
+    F_p[t]/(G), G from ``residue_modulus``: each row modulo the lifted factor
+    (A) or c - s (B) and p, f residues, and no zero top row.  At f = 1 each
+    row is its value at the prime's root.  ValueError when p divides den."""
     rows, den = poly
     if den % P.p == 0:
         raise ValueError("element has a pole at P")
     G = P.lifted_factor.coeffs if P.backend == "A" else (-P.gen_shift, 1)
     inv = pow(den, -1, P.p)
-    return [[c * inv % P.p for c in reduce_monic(list(row), G, P.p)] for row in rows]
-
-
-def image_mod(poly, P: PrimeAboveD) -> list[int] | None:
-    """poly = (rows, den) over K reduced at the residue-degree-1 prime P, as
-    residues mod p: each row evaluated at the root of P's linear factor.
-    None when p divides den or the degree drops."""
-    (rows, den), p = poly, P.p
-    if den % p == 0:
-        return None
-    root = -P.lifted_factor.coeffs[0] % p
-    powers = [pow(root, j, p) for j in range(P.field.degree)]
-    inv = pow(den, -1, p)
-    image = [sum(map(mul, row, powers)) * inv % p for row in rows]
-    return image if image and image[-1] else None
-
-
-def reduce_poly_mod_prime(poly, P: PrimeAboveD) -> Poly:
-    """poly = (rows, den) over K reduced coefficient-wise into the residue field."""
-    F = residue_field(P)
-    rows = residue_rows(poly, P)
-    return Poly.make(F, [row[0] if F.degree == 1 else tuple(row) for row in rows])
+    out = [[c * inv % P.p for c in reduce_monic(list(row), G, P.p)] for row in rows]
+    while out and not any(out[-1]):
+        out.pop()
+    return out

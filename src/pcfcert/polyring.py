@@ -3,7 +3,7 @@
 A polynomial is a tuple of coefficients in ascending degree with no trailing
 zeros (the zero polynomial is the empty tuple).  The coefficient ring is an
 explicit adapter object passed around with the polynomial, so the same code
-serves Z, Q, finite fields, cyclotomic integers and number fields.
+serves Z, Q, cyclotomic integers and number fields.
 
 A Poly multiplies by the generic schoolbook/Karatsuba ``_mul`` on ring
 elements.  A polynomial over Z[c]/(g) is instead a list of integer rows
@@ -12,8 +12,9 @@ elements.  A polynomial over Z[c]/(g) is instead a list of integer rows
 q, over (Z/q)[c]/(g), by Kronecker substitution (``_product`` packs every row
 into one Python int, does one big-integer product and unpacks the signed
 slots from the product's bytes).  They hold the rows as columns (entry j of
-every row), so one list operation reduces a whole column modulo g and q.  An
-element of Z[c]/(g), Z[zeta]/(Phi_d) or F_p[t]/(h) is a row of ints:
+every row), so one list operation reduces a whole column modulo g and q;
+finitefield runs its F_q[x] on the same columns, with F_q = F_p[t]/(G).  An
+element of Z[c]/(g) or Z[zeta]/(Phi_d) is a row of ints:
 ``mul_mod`` is their one product (schoolbook, then ``reduce_monic``), and
 ``ring_pow`` the one power in any Ring adapter.  ``inverse_mod`` inverts an
 element of Q[c]/(g) without fractions, as an adjugate row over one integer
@@ -598,23 +599,6 @@ def gcd_poly(p: Poly, q: Poly) -> Poly:
         if not b.is_zero:
             b = b.monic()
     return a.monic()
-
-
-def xgcd_poly(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, s, t) with g = s*p + t*q, g the monic gcd, over a field."""
-    R = p.ring
-    a, b = p, q
-    sa, sb = Poly.one(R), Poly.zero(R)
-    ta, tb = Poly.zero(R), Poly.one(R)
-    while not b.is_zero:
-        quo, rem = a.divmod(b)
-        a, b = b, rem
-        sa, sb = sb, sa - quo * sb
-        ta, tb = tb, ta - quo * tb
-    if a.is_zero:
-        raise ValueError("xgcd(0, 0) undefined")
-    inv_lc = R.div(R.one, a.lc)
-    return a.scale(inv_lc), sa.scale(inv_lc), ta.scale(inv_lc)
 
 
 def resultant(p: Poly, q: Poly) -> int:

@@ -97,6 +97,27 @@ class TestSubcommands:
         assert (code, err) == (0, "")
         assert ("verification: Verified" in out) is (fmt == "text")
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("argv", [
+        ("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "5"),
+        ("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "5", "--i", "1"),
+        ("nonabelian-cert", "--d", "2", "--gleason-n", "3", "--case", "periodic-2",
+         "--alpha", "0"),
+    ])
+    def test_certificates_build_only_the_requested_rendering(
+        self, capsys, monkeypatch, argv, fmt
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"built for --format {fmt}")
+
+        if fmt == "json":
+            monkeypatch.setattr(cli, "_cert_text", forbidden)
+        else:
+            monkeypatch.setattr(cli.jsonio, "certificate_json", forbidden)
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.startswith("{") is (fmt == "json")
+
     def test_stability_verified(self, capsys):
         code, out, _ = run_cli(
             capsys, "stability-cert", "--d", "2", "--misiurewicz", "2,1",
@@ -143,11 +164,15 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("cmd", ["factor", "verify-factor"])
     def test_factor_verification_runs_no_gcd(self, capsys, monkeypatch, cmd):
-        # the CLI's closed form is proved coprime from its orbit values
+        # the CLI's closed form is proved coprime from its orbit values; the
+        # fields are built first, as certifying g factors it mod p
+        for d, n in ((2, 3), (2, 4), (3, 2)):
+            cli._field(orbits.gleason(d, n).coeffs)
+
         def forbidden(*args, **kwargs):
             raise AssertionError("gcd computed")
 
-        monkeypatch.setattr(finitefield, "fp_gcd", forbidden)
+        monkeypatch.setattr(finitefield, "_gcd", forbidden)
         monkeypatch.setattr(factoring, "gcd_poly", forbidden)
         verify = ["--verify"] if cmd == "factor" else []
         for d, n, k in (("2", "3", "8"), ("2", "4", "8"), ("3", "2", "5")):
@@ -352,6 +377,31 @@ class TestErrors:
         )
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("stability-cert", "--d", "5", "--misiurewicz", "2,3", "--alpha", "c", "--kmax", "0"),
+         "k_max must be >= 1, got 0"),
+        (("stability-cert", "--d", "2", "--gleason-n", "2", "--alpha", "2", "--kmax", "0"),
+         "k_max must be >= 1, got 0"),
+        (("f-irred-cert", "--d", "5", "--gleason-n", "4", "--k", "1", "--i", "7"),
+         "f_irreducibility_certificate requires n >= 2, k >= 0, 1 <= i <= n-1"),
+        (("f-irred-cert", "--d", "2", "--gleason-n", "2", "--k", "1", "--i", "5"),
+         "f_irreducibility_certificate requires n >= 2, k >= 0, 1 <= i <= n-1"),
+        (("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "-1", "--i", "1"),
+         "f_irreducibility_certificate requires n >= 2, k >= 0, 1 <= i <= n-1"),
+        (("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "0"),
+         "requires n >= 2 and k >= 1"),
+        (("f-irred-cert", "--d", "2", "--gleason-n", "1", "--k", "1"),
+         "requires n >= 2 and k >= 1"),
+    ])
+    def test_range_errors_before_the_field(self, capsys, monkeypatch, argv, message):
+        # the same exit and message as when the certificate raises them,
+        # without building the field first
+        def unbuilt(coeffs):
+            raise AssertionError("field built")
+
+        monkeypatch.setattr(cli, "_field", unbuilt)
+        assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("precision", ["0", "-2"])
     def test_precision_below_one_exit_3(self, capsys, precision):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import as_rows, expand, f_factor_by_division, structural_form_on_rows
-from pcfcert import factoring, numfield, polyring
+from pcfcert import factoring, finitefield, numfield, polyring
 from pcfcert.certificates import Certificate, HypothesisUnmet, Verdict
 from pcfcert.factoring import (
     FactorEntry,
@@ -32,7 +32,7 @@ from pcfcert.factoring import (
     structural_form,
     verify_factorization,
 )
-from pcfcert.finitefield import ExtField, factor
+from pcfcert.finitefield import factor
 from pcfcert.numfield import (
     NFElem,
     NotIntegral,
@@ -42,8 +42,8 @@ from pcfcert.numfield import (
     nf_norm,
     primes_above,
     reduce_poly_mod_prime,
+    residue_modulus,
     residue_ring,
-    residue_rows,
     row_valuation,
     valuation,
 )
@@ -288,7 +288,8 @@ class TestFactorization:
 
                 m.setattr(Poly, "__mul__", forbidden)
                 m.setattr(NFElem, "__init__", forbidden)
-                m.setattr(ExtField, "__init__", forbidden)
+                m.setattr(numfield, "residue_modulus", forbidden)
+                m.setattr(finitefield, "_gcd", forbidden)
                 m.setattr(numfield, "reduce_poly_mod_prime", forbidden)
                 m.setattr(factoring, "reduce_poly_mod_prime", forbidden, raising=False)
                 m.setattr(polyring, "gcd_poly", forbidden)
@@ -324,27 +325,29 @@ class TestFactorization:
         assert cert.verdict is Verdict.VERIFIED
         assert {"step": "product-identity", "degree": 16} in cert.witnesses
 
-    def test_image_mod_matches_reduce_poly_mod_prime(self):
+    def test_degree_one_reduction_is_evaluation_at_the_root(self):
+        # at a prime of residue degree 1, each row reduces to its value at
+        # the root r of the prime's linear factor, over den mod p
         for K, d, n, k, p in ((K22, 2, 2, 5, 3), (K23, 2, 3, 5, 5), (K24, 2, 4, 4, 13),
                               (K32, 3, 2, 3, 5)):
             P = next(P for P in primes_above(K, p) if P.residue_degree == 1)
+            root = -P.lifted_factor.coeffs[0] % p
+            assert residue_modulus(P) == (0, 1)
             for e in iterate_factorization(K, d, n, k).entries:
-                image = numfield.image_mod((e.rows, e.den), P)
-                assert image == list(reduce_poly_mod_prime((e.rows, e.den), P).coeffs)
-        # over a denominator: one evaluation per row against residue_rows
-        for K, d, n, p in ((K23, 2, 3, 5), (K24, 2, 4, 13), (K32, 3, 2, 5)):
-            P = next(P for P in primes_above(K, p) if P.residue_degree == 1)
-            for e in iterate_factorization(K, d, n, 4).entries:
-                for rows, den in ((e.rows, e.den), ([[-7 * x for x in r] for r in e.rows], 3)):
-                    expected = [row[0] for row in residue_rows((rows, den), P)]
-                    assert numfield.image_mod((rows, den), P) == expected
-        # no image when a coefficient has a pole at P or the degree drops
+                for rows, den in ((e.rows, e.den), ([[-7 * x for x in r] for r in e.rows], 7)):
+                    value = [sum(x * root**j for j, x in enumerate(row)) * pow(den, -1, p) % p
+                             for row in rows]
+                    while value and not value[-1]:
+                        value.pop()
+                    assert reduce_poly_mod_prime((rows, den), P) == [[v] for v in value]
+        # a coefficient with a pole at P has no image; a dropped degree shows
         P = next(P for P in primes_above(K23, 5) if P.residue_degree == 1)
         x = Poly.x(K23)
         fifth = Poly.constant(K23, K23.from_rational(Fraction(1, 5)))
         five = Poly.constant(K23, K23.from_int(5))
-        assert numfield.image_mod(as_rows(x + fifth), P) is None
-        assert numfield.image_mod(as_rows(x * five + Poly.one(K23)), P) is None
+        with pytest.raises(ValueError):
+            reduce_poly_mod_prime(as_rows(x + fifth), P)
+        assert reduce_poly_mod_prime(as_rows(x * five + Poly.one(K23)), P) == [[1]]
 
     def test_duplicated_factor_is_common_factor(self):
         # linear^2 split into two labels of exponent 1: the identity holds
@@ -705,7 +708,8 @@ class TestIrreducibilityCerts:
             {"step": "mod-prime-irreducible", "p": 3, "residue_degree": 3, "fallback": True}
         ]
         (P,) = primes_above(K23, 3)
-        assert len(factor(reduce_poly_mod_prime((f_factor(K23, 2, 3, 2, 1), 1), P))) == 1
+        image = reduce_poly_mod_prime((f_factor(K23, 2, 3, 2, 1), 1), P)
+        assert len(factor(image, residue_modulus(P), 3)) == 1
 
     def test_all_factors_raise_like_iterate_factorization(self):
         # budget first, then the first failing orbit relation, as building

@@ -2,6 +2,7 @@
 
 import io
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -13,7 +14,7 @@ from oracles import as_rows, prs_resultant
 from pcfcert import numfield
 from pcfcert.certificates import HypothesisUnmet, Unsupported, Verdict
 from pcfcert.cli import main
-from pcfcert.finitefield import ExtField, factor
+from pcfcert.finitefield import factor
 from pcfcert.numfield import (
     NFElem,
     NotIntegral,
@@ -30,7 +31,7 @@ from pcfcert.numfield import (
     prime_with_valuation,
     primes_above,
     reduce_poly_mod_prime,
-    residue_field,
+    residue_modulus,
     valuation,
 )
 from pcfcert.factoring import iterate
@@ -42,8 +43,8 @@ from pcfcert.polyring import (
     _mul,
     discriminant,
     inverse_mod,
+    mul_mod,
     mul_rows,
-    xgcd_poly,
 )
 
 
@@ -387,8 +388,8 @@ class TestIrreducibility:
     def test_repeated_factor_mod_p_is_not_verified(self, monkeypatch):
         # a factorization with a repeated factor gives the search nothing to
         # lift: the certificate must say so, not claim an exhausted search
-        def repeated(poly, seed=1):
-            (f, _), *rest = factor(poly)
+        def repeated(poly, G, p):
+            (f, _), *rest = factor(poly, G, p)
             return [(f, 2), *rest]
 
         monkeypatch.setattr(numfield, "factor", repeated)
@@ -532,30 +533,47 @@ class TestValuation:
 
 
 class TestResidue:
-    def test_residue_field_built_once_per_prime(self, monkeypatch):
+    def test_residue_modulus_checked_once_per_prime(self, monkeypatch):
         # Rabin's test on the lifted factor runs once per prime, not per call
-        built = []
-        init = ExtField.__init__
+        checked, factored = [], []
+        check, fac = numfield.field_modulus, numfield.factor
 
-        def counted(self, *args):
-            built.append(args)
-            init(self, *args)
+        def counted_check(G, p):
+            checked.append(tuple(G))
+            return check(G, p)
 
-        monkeypatch.setattr(ExtField, "__init__", counted)
+        def counted_factor(*args):
+            factored.append(args)
+            return fac(*args)
+
+        monkeypatch.setattr(numfield, "field_modulus", counted_check)
+        monkeypatch.setattr(numfield, "factor", counted_factor)
         K = field([1, 1, 2, 1])
         for _ in range(3):
-            fields = [residue_field(P) for P in primes_above(K, 5)]
-            assert all(residue_field(P) is F for P, F in zip(primes_above(K, 5), fields))
-        assert [F.degree for F in fields] == [1, 2] and len(built) == 1
-        # a repeated request on a kept field builds none
+            moduli = [residue_modulus(P) for P in primes_above(K, 5)]
+        assert [len(G) - 1 for G in moduli] == [1, 2] and len(checked) == 2
+        assert moduli[1] == tuple(c % 5 for c in primes_above(K, 5)[1].lifted_factor.coeffs)
+        # a repeated request on a kept field factors nothing and checks no G
         argv = ["nonabelian-cert", "--d", "2", "--gleason-n", "3", "--case", "periodic-2",
                 "--alpha", "0"]
         counts = []
         for _ in range(3):
             with redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
-            counts.append(len(built))
-        assert counts[0] > 1 and counts[0] == counts[2]
+            counts.append((len(checked), len(factored)))
+        assert counts[0][0] > 3 and counts[0][1] > 0 and counts[0] == counts[2]
+        assert any(len(G) > 2 for G in checked[2:])  # Rabin's test ran on a G
+
+    def test_reducible_modulus_refused(self):
+        # a prime whose lifted factor is reducible mod p is no field: the
+        # check refuses it, keeps nothing, and no reduction is certified
+        K = field([1, 1, 2, 1])
+        (P,) = primes_above(K, 5)[1:]
+        bad = replace(P, lifted_factor=Poly.from_ints(ZZ, [6, 5, 1]))  # (x+2)(x+3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="reducible over F_p"):
+                residue_modulus(bad)
+        assert bad not in K._residue_moduli and residue_modulus(P) == K._residue_moduli[P]
 
     def test_reduction_is_homomorphic(self):
         for g, p, idx in (
@@ -571,9 +589,11 @@ class TestResidue:
             x = K.gen() + K.from_rational(Fraction(7, 11))
             y = K.gen() ** 2 - K.one
 
-            def reduce(z):
-                return reduce_poly_mod_prime(as_rows(Poly.constant(K, z)), P).constant_term
+            G = residue_modulus(P)
 
-            R = residue_field(P)
-            assert reduce(x * y) == R.mul(reduce(x), reduce(y)), (g, p, idx)
-            assert reduce(x + y) == R.add(reduce(x), reduce(y)), (g, p, idx)
+            def reduce(z):
+                rows = reduce_poly_mod_prime(as_rows(Poly.constant(K, z)), P)
+                return (rows or [[0] * (len(G) - 1)])[0]
+
+            assert reduce(x * y) == mul_mod(reduce(x), reduce(y), G, p), (g, p, idx)
+            assert reduce(x + y) == [(u + v) % p for u, v in zip(reduce(x), reduce(y))]

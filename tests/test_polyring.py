@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import prs_resultant
+from oracles import prs_resultant, xgcd_poly
 from pcfcert.polyring import (
     NotDivisible,
     PackedRows,
@@ -29,7 +29,6 @@ from pcfcert.polyring import (
     primitive_part,
     reduce_monic,
     resultant,
-    xgcd_poly,
 )
 
 ints = st.integers(min_value=-50, max_value=50)
