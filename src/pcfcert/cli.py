@@ -157,8 +157,10 @@ def resolve_field(args):
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _field(coeffs: tuple) -> NumberField:
     """One field per defining polynomial, kept across requests with all it
-    caches (disc g, its irreducibility certificate, primes, iterates, orbit
-    values).  A reducible g raises, and nothing is kept for it."""
+    caches (disc g, its irreducibility certificate, primes and their residue
+    moduli, iterate chains, orbit values and their norms, and the
+    closed-form factors F(m, i)).  A reducible g raises, and nothing is kept
+    for it."""
     return nf_new(Poly(ZZ, coeffs))
 
 

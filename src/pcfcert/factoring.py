@@ -24,12 +24,18 @@ closed form is then (f^(k-nj))^(d^j) / (f^(k-n(j+1)))^(d^(j+1)) and the tail
 is f^r, so the product is f^k.  The check has four exact steps: (1) the
 orbit relations hold in K; (2) each entry is lambda F(m, i) (or lambda
 S(0, j)) for the factor its params name, lambda its leading coefficient and
-F rebuilt by the geometric sum from f^m, m < k; (3) the product of the
-lambda^exp is 1; (4) the exponents of the S symbols, rewritten by the two
-rules, add up to exactly f^k.  Each step is an identity over K, so passing
-all four proves the product identity.  A product that fails one is
-multiplied out (FactorProduct.expanded_rows) and compared with f^k instead,
-which gives every refutation witness.
+F the field's kept closed form; (3) the product of the lambda^exp is 1; (4)
+the exponents of the S symbols, rewritten by the two rules, add up to
+exactly f^k.  Each step is an identity over K, so passing all four proves
+the product identity.  Comparing with the kept F(m, i) is still step 2:
+the field builds F(m, i) only by its definition, the geometric sum from
+f^m (m < k) and a_i, once, and never takes it from a product, so an entry
+passes only if it equals F(m, i), whether it shares those rows or is
+compared coefficient by coefficient.  The sum depends on d, m and a_i
+alone, not on the period claimed, and step 1 checks the relation it needs
+on every call.  A product that fails a step is multiplied out
+(FactorProduct.expanded_rows) and compared with f^k instead, which gives
+every refutation witness.
 
 The entries of a product that telescopes, lambda F(m, i) or lambda S(0, j)
 with lambda != 0 by step 3, are pairwise coprime once a_j != 0 for 1 <= j <
@@ -49,8 +55,11 @@ the way to f^(k+1) is one big-integer product reduced a column at a time
 (see polyring.mul_rows).  The field keeps f^0, f^1, ... as one chain, one
 packed int per iterate, and one more chain for the image of f in the
 residue ring of each prime P above d, so a later request on the same field
-(cli keeps one field per g) only unpacks.  ``iterate`` wraps f^k as a Poly
-over K for callers outside the package.
+(cli keeps one field per g) only unpacks.  It keeps each F(m, i) it has
+built as plain rows, under (d, m, i), so the product, its proof and a later
+request share them without unpacking; every reader treats them as
+read-only.  ``iterate`` wraps f^k as a Poly over K for callers outside the
+package.
 
 The stability route never builds f^N over K.  Whether f^N - alpha is
 Eisenstein at a prime P above d depends only on the valuations of its
@@ -244,20 +253,31 @@ def f_factor(
     """F(k, i) = (f^{k+1} - a_{i+1}) / (f^k - a_i), monic of degree d^k(d-1),
     as integer rows over Z[c]/(g).
 
-    Built as sum_{j<d} (f^k)^j * a_i^(d-1-j), by Horner's rule in f^k, once
-    a_{i+1} = a_i^d + c0 is checked (ShapeViolation otherwise).
+    Built once per field as sum_{j<d} (f^k)^j * a_i^(d-1-j), by Horner's
+    rule in f^k, and kept (``_kept_factor``): read the rows, never write
+    them.  The budget and a_{i+1} = a_i^d + c0 are checked on every call
+    (ShapeViolation when the relation fails).
     """
     if not (n >= 2 and k >= 0 and 1 <= i <= n - 1):
         raise ValueError("f_factor requires n >= 2, k >= 0, 1 <= i <= n-1")
     _check_budget(d, k + 1, budget)
     _require_orbit_relation(fieldK, d, n, i)
-    quotient = _geometric_sum(fieldK, d, k, i, budget)
-    degree, expected_degree = len(quotient) - 1, d**k * (d - 1)
-    if degree != expected_degree or quotient[-1] != [1] + [0] * (fieldK.degree - 1):
-        raise ShapeViolation(
-            f"F({k},{i}) has degree {degree}, expected {expected_degree}"
-        )
-    return quotient
+    return _kept_factor(fieldK, d, k, i, budget)
+
+
+def _kept_factor(fieldK: NumberField, d: int, k: int, i: int, budget: int) -> list:
+    """F(k, i) from fieldK._factors[d, k, i]; on first use built by its
+    definition, the geometric sum, and checked monic of degree d^k(d-1)
+    (ShapeViolation otherwise).  It depends on d, k and a_i alone, not on
+    the period: the orbit relation it needs is the caller's to check."""
+    rows = fieldK._factors.get((d, k, i))
+    if rows is None:
+        rows = _geometric_sum(fieldK, d, k, i, budget)
+        degree, expected_degree = len(rows) - 1, d**k * (d - 1)
+        if degree != expected_degree or rows[-1] != [1] + [0] * (fieldK.degree - 1):
+            raise ShapeViolation(f"F({k},{i}) has degree {degree}, expected {expected_degree}")
+        fieldK._factors[d, k, i] = rows
+    return rows
 
 
 def _orbit_relation(fieldK: NumberField, d: int, n: int, i: int) -> bool:
@@ -314,8 +334,9 @@ class FactorProduct:
 
     def expanded_rows(self) -> tuple[list[list[int]], int]:
         """The product as (rows, den): integer rows over Z[c]/(g) and a
-        denominator.  Each leaf F^exp is a ``pow_rows`` power; the two
-        lowest-degree products are multiplied until one is left."""
+        denominator.  Each leaf F^exp is a ``pow_rows`` power (at exp 1 the
+        entry's own rows, which are only read); the two lowest-degree
+        products are multiplied until one is left."""
         g = self.field.g.coeffs
         heap, den = [], 1
         for i, e in enumerate(self.entries):
@@ -420,7 +441,7 @@ def _closed_form(product: FactorProduct, params, budget: int):
     fieldK, d, n = product.field, product.d, product.n
     match params:
         case (int(m), int(i)) if 0 <= m < product.k and 0 < i < n:
-            rows = _geometric_sum(fieldK, d, m, i, budget)
+            rows = _kept_factor(fieldK, d, m, i, budget)
             return rows, (((m + 1, i + 1), 1), ((m, i), -1))
         case (int(j),) if 0 < j <= n:
             return _linear_rows(fieldK, d, n, j), (((0, j), 1),)

@@ -280,12 +280,18 @@ def _distinct_degree(g, G, p: int) -> list[tuple[list, int]]:
     return out
 
 
+SPLIT_DRAWS = 64  # a draw splits with chance >= 1/2 over a field
+
+
 def _equal_degree(g, d: int, G, p: int, rng: random.Random) -> list:
-    """The squarefree monic product g of degree-d irreducibles, split."""
+    """The squarefree monic product g of degree-d irreducibles, split.
+    ValueError after SPLIT_DRAWS draws that all fail, which over a field
+    happens with chance at most 2^-64: G is then not irreducible mod p, or
+    g is not such a product."""
     f, n = len(G) - 1, _deg(g)
     if n == d:
         return [g]
-    while True:
+    for _ in range(SPLIT_DRAWS):
         a = _trim([[rng.randrange(p) for _ in range(n)] for _ in range(f)])
         if _deg(a) < 1:
             continue
@@ -304,6 +310,21 @@ def _equal_degree(g, d: int, G, p: int, rng: random.Random) -> list:
         if 0 < _deg(split) < n:
             rest = _exact_div(g, split, G, p)
             return _equal_degree(split, d, G, p, rng) + _equal_degree(rest, d, G, p, rng)
+    raise ValueError(
+        f"no equal-degree split of a degree-{n} product in {SPLIT_DRAWS} draws "
+        f"over F_p[t]/(G), G = {tuple(G)}, p = {p}"
+    )
+
+
+def degree_pattern(g, G: Sequence[int], p: int) -> list[int]:
+    """The degrees of the irreducible factors of the squarefree g over F_q =
+    F_p[t]/(G), ascending, from the distinct-degree split alone.  That g is
+    squarefree is the caller's to know (for g mod p, from p not dividing
+    disc g); a square factor makes the pattern wrong."""
+    if not g:
+        raise ValueError("cannot factor the zero polynomial")
+    parts = _distinct_degree(_monic(_cols(g, len(G) - 1), G, p), G, p)
+    return sorted(d for part, d in parts for _ in range(_deg(part) // d))
 
 
 def factor(g, G: Sequence[int], p: int) -> list[tuple[list, int]]:

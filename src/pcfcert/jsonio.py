@@ -59,23 +59,32 @@ class RowsPoly(NamedTuple):
 
 def _rows_text(poly: RowsPoly, newline: str) -> str:
     """The indented text of ``poly`` (den > 0) at the level ``newline``
-    opens."""
+    opens.  The rows are only read: a row is copied only to drop its
+    trailing zeros, and the text around a coefficient is built once."""
     n1, n2, n3, n4, n5 = (newline + "  " * j for j in range(1, 6))
+    rows, den = poly
+    top = len(rows)
+    while top and not any(rows[top - 1]):
+        top -= 1
     head = "{" + n3 + '"num": {' + n4 + '"var": "c",' + n4 + '"coeffs": '
-    sep = '",' + n5 + '"'
-    rows = list(poly.rows)
-    while rows and not any(rows[-1]):
-        rows.pop()
+    first, sep = head + "[" + n5 + '"', '",' + n5 + '"'
+    middle, last = '"' + n4 + "]" + n3 + "}," + n3 + '"den": "', '"' + n2 + "}"
+    zero = head + "[]" + n3 + "}," + n3 + '"den": "1' + last  # den / gcd(den, 0)
+    den_text = middle + str(den) + last
     coeffs = []
-    for row in rows:
-        num, den = list(row), poly.den
-        while num and not num[-1]:
-            num.pop()
-        if den != 1:
-            shared = gcd(den, *num)
-            num, den = [v // shared for v in num], den // shared
-        text = "[" + n5 + '"' + sep.join(map(str, num)) + '"' + n4 + "]" if num else "[]"
-        coeffs.append(head + text + n3 + "}," + n3 + '"den": "' + str(den) + '"' + n2 + "}")
+    for row in rows[:top]:
+        end = len(row)
+        while end and not row[end - 1]:
+            end -= 1
+        if not end:
+            coeffs.append(zero)
+            continue
+        num = row if end == len(row) else row[:end]
+        if den == 1 or (shared := gcd(den, *num)) == 1:
+            coeffs.append(first + sep.join(map(str, num)) + den_text)
+        else:
+            text = sep.join([str(v // shared) for v in num])
+            coeffs.append(first + text + middle + str(den // shared) + last)
     body = "[" + n2 + ("," + n2).join(coeffs) + n1 + "]" if coeffs else "[]"
     return "{" + n1 + '"var": "x",' + n1 + '"coeffs": ' + body + newline + "}"
 
@@ -155,13 +164,20 @@ def dumps(obj) -> str:
     The bytes of json.dumps(obj, indent=2, allow_nan=False) for str keys,
     with each RowsPoly in its shared format, written here because any indent
     sends json to its pure-Python encoder: strings go through json's C
-    escaper, other scalars and empty containers through json.dumps."""
+    escaper, an int, bool or None is written here, and floats, other
+    scalars and empty containers go through json.dumps."""
     return _dumps(obj, "\n")
 
 
 def _dumps(obj, newline: str) -> str:
     """``obj`` at the nesting level that ``newline`` (a newline and the
-    indent) opens; a str item is escaped in place, without a call."""
+    indent) opens; a str item is escaped in place, without a call, and an
+    int, bool or None is written here (json.dumps writes an int as
+    int.__repr__)."""
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
     if type(obj) is RowsPoly:
         return _rows_text(obj, newline)
     if isinstance(obj, str):

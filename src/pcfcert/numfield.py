@@ -56,7 +56,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .certificates import Certificate, HypothesisUnmet, Unsupported, Verdict
-from .finitefield import factor, field_modulus, hensel_lift, is_irreducible
+from .finitefield import degree_pattern, factor, field_modulus, hensel_lift, is_irreducible
 from .polyring import (
     Poly,
     Ring,
@@ -233,6 +233,9 @@ class NumberField(Ring):
         # packed into one int (see factoring.iterate_rows); ints, not
         # NFElems, so a field kept for many requests holds little memory
         self._iterates: dict = {}
+        # (d, m, i) -> F(m, i) as integer rows (factoring.f_factor), built
+        # once and shared by every reader, so unpacked and never written
+        self._factors: dict = {}
         self._orbits: dict[int, list] = {}  # d -> [a_0, a_1, ...] (orbits.orbit_value)
 
     # Ring adapter interface
@@ -398,13 +401,13 @@ def irreducibility_certificate(
             break
         if disc % p == 0:
             continue
-        fac = factor([[c % p] for c in g.coeffs], (0, 1), p)
-        degrees = [len(f) - 1 for f, _ in fac]
+        # p does not divide disc g, so g mod p is squarefree
+        degrees = degree_pattern([[c % p] for c in g.coeffs], (0, 1), p)
         if len(degrees) == 1:
             cert.verdict = Verdict.VERIFIED
             cert.witness("irreducible-mod-p", p=p)
             return cert
-        used.append((p, sorted(degrees)))
+        used.append((p, degrees))
         sums = _subset_sums(degrees)
         possible = sums if possible is None else (possible & sums)
         if possible == frozenset({0, g.degree}):

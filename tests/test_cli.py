@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from oracles import as_rows, f_factor_by_division
 from pcfcert import cli, factoring, finitefield, numfield, orbits
 from pcfcert.cli import main, parse_scalar_literal, UsageError
 from pcfcert.factoring import NotUnit, ShapeViolation
@@ -579,3 +580,110 @@ class TestWarmCache:
         assert self.resolve(*argv) is not K
         assert run_cli(capsys, *argv) == first
         assert first[0] == 0
+
+
+def factor_argv(d, n, k, *extra):
+    return ("factor", "--d", str(d), "--gleason-n", str(n), "--k", str(k), *extra)
+
+
+class TestKeptFactors:
+    """Each field keeps every closed-form factor F(m, i) it has built, and
+    every reader shares those rows."""
+
+    @pytest.mark.parametrize(
+        "d, n, kmax",
+        # criterion 3's ranges
+        [(2, 2, 10), (2, 3, 10), (2, 4, 8), (3, 2, 5), (5, 2, 4)],
+    )
+    def test_kept_factors_match_exact_division(self, capsys, d, n, kmax):
+        requests = [factor_argv(d, n, k, "--verify", "--format", "json")
+                    for k in range(1, kmax + 1)]
+        first = [run_cli(capsys, *argv) for argv in requests]  # cold
+        K = cli._field(orbits.gleason(d, n).coeffs)
+        kept = dict(K._factors)
+        named = {(d, *params) for k in range(1, kmax + 1)
+                 for label, params, _ in factoring.closed_form_factors(K, d, n, k)
+                 if label != "linear"}
+        assert set(kept) == named
+        expected = {key: as_rows(f_factor_by_division(K, d, n, *key[1:]))[0] for key in kept}
+        assert kept == expected
+        assert [run_cli(capsys, *argv) for argv in requests] == first  # warm
+        assert K._factors == expected
+        assert all(K._factors[key] is rows for key, rows in kept.items())
+        assert {code for code, _, _ in first} == {0}
+
+    def test_warm_factor_verify_runs_no_geometric_sum(self, capsys, monkeypatch):
+        # the benchmark's factor-verify requests: each factor is built once
+        # on the cold request, and never on the warm one
+        calls = []
+        geometric_sum = factoring._geometric_sum
+
+        def spy(*args):
+            calls.append(args[1:4])
+            return geometric_sum(*args)
+
+        monkeypatch.setattr(factoring, "_geometric_sum", spy)
+        for d, n, k in ((2, 2, 9), (2, 3, 8), (2, 4, 8), (3, 2, 5)):
+            argv = factor_argv(d, n, k, "--verify", "--format", "json")
+            first = run_cli(capsys, *argv)
+            labels = {lab for lab, _, _ in factoring.closed_form_factors(
+                cli._field(orbits.gleason(d, n).coeffs), d, n, k)}
+            assert len(calls) == len(set(calls)) == len(labels) - 1  # not the linear one
+            calls.clear()
+            assert run_cli(capsys, *argv) == first and first[0] == 0
+            assert calls == []
+
+    def test_kept_rows_unchanged_by_every_consumer(self, capsys):
+        consumers = [
+            factor_argv(2, 3, 6),
+            factor_argv(2, 3, 6, "--format", "json"),
+            factor_argv(2, 3, 6, "--verify"),
+            factor_argv(2, 3, 6, "--verify", "--format", "json"),
+            ("verify-factor", "--d", "2", "--gleason-n", "3", "--k", "6"),
+            ("verify-factor", "--d", "2", "--gleason-n", "3", "--k", "6", "--format", "json"),
+            # the mod-prime fallback reduces F(5, 1) at several primes
+            ("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "5", "--i", "1",
+             "--budget", "64"),
+        ]
+        first = [run_cli(capsys, *argv) for argv in consumers]
+        K = cli._field(orbits.gleason(2, 3).coeffs)
+        kept = {key: (rows, [list(row) for row in rows]) for key, rows in K._factors.items()}
+        assert (2, 5, 1) in kept
+        for argv, output in zip(consumers, first):
+            assert run_cli(capsys, *argv) == output
+            assert all(K._factors[key] is rows and rows == copy
+                       for key, (rows, copy) in kept.items()), argv
+        expanded, den = factoring.iterate_factorization(K, 2, 3, 6).expanded_rows()
+        assert den == 1 and expanded == factoring.iterate_rows(K, 2, 6)
+        assert all(K._factors[key] is rows and rows == copy
+                   for key, (rows, copy) in kept.items())
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        # F(5, 1) and f^6 need 2^6 <= budget: the warm field keeps both
+        [(factor_argv(2, 3, 5, "--verify", "--budget", "16"), 4),
+         (factor_argv(2, 3, 5, "--verify", "--budget", "32", "--format", "json"), 0),
+         (("verify-factor", "--d", "2", "--gleason-n", "3", "--k", "6", "--budget", "32"), 4),
+         (("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "5", "--budget", "16"), 4),
+         (("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "5", "--i", "1",
+           "--budget", "32"), 2),
+         (("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "5", "--i", "1",
+           "--budget", "64", "--format", "json"), 2),
+         # the warm field keeps F(2, 1), which the fallback certifies at
+         # budget 8; at budget 4 it may not be read
+         (("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "2", "--i", "1",
+           "--budget", "4"), 2)],
+    )
+    def test_small_budget_warm_as_cold(self, capsys, argv, code):
+        cold = run_cli(capsys, *argv)
+        cli._field.cache_clear()
+        for warmup in (factor_argv(2, 3, 8, "--verify"),
+                       ("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "5", "--i",
+                        "1", "--budget", "64"),
+                       ("f-irred-cert", "--d", "2", "--gleason-n", "3", "--k", "2", "--i",
+                        "1", "--budget", "8")):
+            run_cli(capsys, *warmup)
+        K = cli._field(orbits.gleason(2, 3).coeffs)
+        assert {(2, 2, 1), (2, 5, 1), (2, 7, 2)} <= set(K._factors)
+        assert run_cli(capsys, *argv) == cold
+        assert cold[0] == code

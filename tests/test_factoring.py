@@ -186,8 +186,14 @@ class TestFFactor:
                 expected = f_factor_by_division(K, d, n, k, i)
                 assert f_factor(K, d, n, k, i) == as_rows(expected)[0]
 
-    def test_wrong_period_is_shape_violation(self):
-        # K22 has period 2, so a_3 = a_1 != 0 breaks the period-3 relation
+    def test_wrong_period_is_shape_violation(self, monkeypatch):
+        # K22 has period 2, so a_3 = a_1 != 0 breaks the period-3 relation,
+        # also once the field keeps F(1, 2), built here for period 4
+        monkeypatch.setattr(K22, "_factors", {})
+        with pytest.raises(ShapeViolation):
+            f_factor(K22, 2, 3, 1, 2)
+        kept = f_factor(K22, 2, 4, 1, 2)
+        assert K22._factors == {(2, 1, 2): kept}
         with pytest.raises(ShapeViolation):
             f_factor(K22, 2, 3, 1, 2)
 
@@ -888,6 +894,43 @@ class TestTelescoping:
         assert routes(expected) in ([], ["exact"])
         orbit = telescopes and name != "duplicated-linear"
         assert routes(cert) == (["orbit"] if orbit else routes(expected))
+
+    @pytest.mark.parametrize("name", list(TAMPERED))
+    def test_tampered_products_keep_witnesses_on_a_warm_field(self, monkeypatch, name):
+        # verified first on a field that keeps no factor, the product is
+        # what builds the ones its params name: they are still the geometric
+        # sums, and a second, warm run gives the same verdict and witnesses
+        product, _ = TAMPERED[name]
+        K, d = product.field, product.d
+        monkeypatch.setattr(K, "_factors", {})
+        cold = verify_factorization(product)
+        assert all(rows == factoring._geometric_sum(K, d, m, i, 4096)
+                   for (_, m, i), rows in K._factors.items())
+        warm = verify_factorization(product)
+        assert (warm.verdict, warm.witnesses) == (cold.verdict, cold.witnesses)
+        expected = by_expansion(product)
+        assert (warm.verdict, without_route(warm)) == (expected.verdict, without_route(expected))
+
+    @pytest.mark.parametrize(
+        "K, d, n, k, labels, gcd",
+        [(K22, 2, 4, 3, ["F(0,1)", "F(1,2)"], "x - 1"),
+         (K23, 2, 6, 4, ["F(0,2)", "F(1,3)"], "x + (c^2 + c)"),
+         (K32, 3, 4, 4, ["F(1,1)", "F(2,2)"], "x^6 + (3*c)*x^3 - 3")],
+    )
+    def test_twice_the_period_on_a_warm_field(self, monkeypatch, K, d, n, k, labels, gcd):
+        # F(m, i) does not depend on the claimed period: the field warmed at
+        # the true period serves both, and each keeps its verdict
+        monkeypatch.setattr(K, "_factors", {})
+        true = iterate_factorization(K, d, n // 2, k)
+        assert verify_factorization(true).verdict is Verdict.VERIFIED
+        kept = dict(K._factors)
+        twice = iterate_factorization(K, d, n, k)
+        assert all(K._factors[key] is rows for key, rows in kept.items())
+        assert verify_factorization(twice).witnesses == [
+            {"step": "product-identity", "degree": d**k},
+            {"step": "common-factor", "labels": labels, "gcd": gcd},
+        ]
+        assert verify_factorization(true).verdict is Verdict.VERIFIED
 
     def test_common_denominator_takes_telescoping_route(self):
         # the product of test_common_denominator_is_carried: 2 F * (F' / 2)

@@ -15,14 +15,18 @@ from oracles import (
     to_poly,
     to_rows,
 )
+from pcfcert import finitefield
 from pcfcert.finitefield import (
+    SPLIT_DRAWS,
     NotSquarefree,
     _cols,
+    _equal_degree,
     _divmod,
     _gcd,
     _inverse,
     _monic,
     _rows,
+    degree_pattern,
     factor,
     field_modulus,
     hensel_lift,
@@ -150,6 +154,22 @@ class TestFactor:
         assert [(len(g) - 1, m) for g, m in fac] == [(1, 1)] * 3
         assert product(fac, G, 3) == f
 
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_equal_degree_split_gives_up(self, monkeypatch, p):
+        # a split that never succeeds, as a faulty kernel or a reducible G
+        # would give: the draws are bounded, and the error names G and p
+        draws = []
+
+        def never_splits(a, g, G, p):
+            draws.append(a)
+            return [[1]]
+
+        monkeypatch.setattr(finitefield, "_gcd", never_splits)
+        g = _cols(product([(fp([1, 1]), 1), (fp([0, 1]), 1)], FP, p), 1)
+        with pytest.raises(ValueError, match=rf"G = \(0, 1\), p = {p}$"):
+            _equal_degree(g, 1, FP, p, random.Random(1))
+        assert 0 < len(draws) <= 2 * SPLIT_DRAWS
+
     @given(st.lists(st.integers(0, 4), min_size=2, max_size=7))
     @settings(max_examples=40)
     def test_factor_recombines(self, coeffs):
@@ -183,7 +203,10 @@ class TestFpKernel:
         a, b, c = (random_rows(rng, p, f, n) for n in degrees)
         g = product([(a, 1), (b, p if power == "p" else power)], G, p)
         gp = to_poly(g, F)
-        assert factor(g, G, p) == [(to_rows(h), m) for h, m in factor_on_poly(gp)]
+        fac = factor(g, G, p)
+        assert fac == [(to_rows(h), m) for h, m in factor_on_poly(gp)]
+        if {m for _, m in fac} == {1}:  # squarefree: the degrees alone
+            assert degree_pattern(g, G, p) == [len(h) - 1 for h, _ in fac]
         assert is_irreducible(g, G, p) is is_irreducible_on_poly(gp)
         assert squarefree_decomposition(g, G, p) == [
             (to_rows(h), m) for h, m in squarefree_decomposition_on_poly(gp)
@@ -215,6 +238,8 @@ class TestFpKernel:
             gcd_rows([], [], FP, 5)
         with pytest.raises(ValueError):
             factor([], FP, 5)
+        with pytest.raises(ValueError):
+            degree_pattern([], FP, 5)
         assert gcd_rows([], fp([2, 4]), FP, 5) == fp([3, 1])
 
 

@@ -1,6 +1,7 @@
 """jsonio's own JSON writer and row encoders, against the json module and
 the element encoders they replace."""
 
+import enum
 import io
 import json
 import math
@@ -79,7 +80,12 @@ def test_golden_objects_match_json_module():
 STRINGS = st.text() | st.sampled_from(
     ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é€", "\U0001f600", "</script>"]
 )
-SCALARS = STRINGS | st.integers() | st.integers(-(2**70), 2**70) | st.booleans() | st.none()
+SCALARS = (
+    STRINGS | st.integers() | st.integers(-(2**70), 2**70) | st.booleans() | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    # bools equal 0 and 1, but must not be written as them, nor they as bools
+    | st.sampled_from([True, 1, False, 0, -1, 1.0, 0.0, -0.0])
+)
 VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4)
@@ -97,6 +103,15 @@ def test_random_values_match_json_module(obj):
 
 @pytest.mark.parametrize("obj", [[], {}, (), [[]], {"a": {}}, {"a": [{}, []]}, ""])
 def test_empty_containers(obj):
+    assert jsonio.dumps(obj) == reference(obj)
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("obj", [Small.ONE, [Small.ONE, 1, True], 1e300, -0.0, 2**64 + 0.5])
+def test_other_scalars_match_json_module(obj):
     assert jsonio.dumps(obj) == reference(obj)
 
 
@@ -166,7 +181,9 @@ ROWS = st.lists(
 @given(rows=ROWS, den=st.integers(1, 60), depth=st.integers(0, 3))
 def test_rows_poly_matches_json_module(rows, den, depth):
     # at any nesting level, as a dict value and as a list item
+    copy = [list(row) for row in rows]
     obj = jsonio.RowsPoly(rows, den)
     for _ in range(depth):
         obj = {"poly": obj, "more": [obj, "x"]}
     assert jsonio.dumps(obj) == reference(obj)
+    assert rows == copy  # only read: a factor's rows are shared

@@ -409,6 +409,31 @@ class TestIrreducibility:
         with pytest.raises(Reducible):
             field([-2, 1, 1])
 
+    def test_degree_patterns_match_factor_at_degree_120(self, monkeypatch):
+        # g mod p is squarefree at every prime the certificate tries, so the
+        # distinct-degree split gives the degrees the full factorization does
+        tried = []
+
+        def spy(rows, G, p):
+            tried.append((rows, p, numfield_degree_pattern(rows, G, p)))
+            return tried[-1][2]
+
+        numfield_degree_pattern = numfield.degree_pattern
+        monkeypatch.setattr(numfield, "degree_pattern", spy)
+        g = gleason(5, 4)
+        assert g.degree == 120
+        cert = irreducibility_certificate(g)
+        (witness,) = cert.witnesses
+        assert cert.verdict is Verdict.VERIFIED and witness["step"] == "degree-subset-sums"
+        assert [p for _, p, _ in tried] == witness["primes"] == [
+            3, 5, 7, 11, 13, 17, 19, 23, 29, 31
+        ]
+        for rows, p, degrees in tried:
+            fac = factor(rows, (0, 1), p)
+            assert {m for _, m in fac} == {1}
+            assert degrees == [len(h) - 1 for h, _ in fac], p
+        assert witness["degree_patterns"] == [degrees for _, _, degrees in tried]
+
 
 class TestPrimes:
     def test_backend_a_inert(self):
